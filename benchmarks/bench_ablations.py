@@ -141,35 +141,40 @@ def bench_ablation_oracle_strategies(benchmark):
 
 
 def bench_ablation_runtime_core(benchmark):
-    """Compiled step-table core vs the generator reference runtime.
+    """The compiled engine vs the legacy re-execution explorer.
 
-    Same exhaustive exploration (wsb-grh n=3, 39330 logical runs), same
-    decided-vector multiset, different execution core: the compiled
-    machine's fork is an array copy and its state key a packed tuple,
-    where the generator runtime replays result logs and freezes them
-    recursively.  Shape expectation: the compiled core wins by >= 2x here
-    and the gap widens with depth (9.4x at wsb-grh n=4; see
-    docs/architecture.md).
+    Same exhaustive exploration (renaming n=3, 1680 logical runs), same
+    decided-vector multiset, different machinery: the engine forks
+    array-backed machines over a shared step table and memoizes orbits,
+    where the legacy explorer re-runs every prefix on the generator
+    runtime (~0.6 s).  Shape expectation: the engine wins by >= 10x here
+    and the gap widens with n (the legacy explorer needs ~130 s for
+    renaming at n=4; see docs/architecture.md).
     """
     import time
+    from collections import Counter
 
     from repro.shm import PrefixSharingEngine, get_spec
     from repro.shm.engine import make_spec_machine, make_spec_runtime
+    from repro.shm.explore import legacy_explore_interleavings
 
-    spec = get_spec("wsb-grh")
+    spec = get_spec("renaming")
 
     def sweep():
-        timings = {}
-        outcomes = {}
-        for core, factory in (
-            ("compiled", make_spec_machine(spec, 3)),
-            ("generator", make_spec_runtime(spec, 3)),
-        ):
-            started = time.perf_counter()
-            outcomes[core] = PrefixSharingEngine(factory).decided_vectors()
-            timings[core] = time.perf_counter() - started
-        assert outcomes["compiled"] == outcomes["generator"]
+        started = time.perf_counter()
+        engine = PrefixSharingEngine(
+            make_spec_machine(spec, 3, frame_nodes=True),
+            relabeler=spec.value_relabel,
+        ).decided_vectors()
+        compiled = time.perf_counter() - started
+        started = time.perf_counter()
+        legacy = Counter(
+            tuple(run.outputs)
+            for run in legacy_explore_interleavings(make_spec_runtime(spec, 3))
+        )
+        timings = {"compiled": compiled, "legacy": time.perf_counter() - started}
+        assert engine == legacy
         return timings
 
     timings = benchmark(sweep)
-    assert timings["generator"] / timings["compiled"] >= 2
+    assert timings["legacy"] / timings["compiled"] >= 10

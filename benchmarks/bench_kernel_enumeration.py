@@ -100,9 +100,8 @@ def bench_engine_exploration_battery(benchmark):
     """Batched exhaustive exploration of the built-in specs at n <= 3.
 
     The wsb-grh cell alone enumerates 39,330 interleavings — ~11 s on the
-    legacy re-execution explorer, ~0.1 s on the generator-core engine,
-    ~0.02 s on the compiled protocol core this battery now rides by
-    default (see docs/architecture.md).
+    legacy re-execution explorer, ~0.02 s on the compiled protocol core
+    the engine runs (see docs/architecture.md).
     """
 
     def battery():
@@ -110,7 +109,6 @@ def bench_engine_exploration_battery(benchmark):
 
     results = benchmark(battery)
     assert all(result.violations == 0 for result in results)
-    assert all(result.core == "compiled" for result in results)
     assert sum(result.runs for result in results) > 40_000
 
 
@@ -118,8 +116,8 @@ def bench_engine_exploration_n4_frontier(benchmark):
     """The n = 4 frontier the legacy explorer cannot reach in benchmark time.
 
     Figure 2's renaming protocol at n = 4 has 369,600 interleavings; the
-    legacy path needs ~130 s, the memoized engine materializes only 240
-    leaves (~0.5 s on the generator core, ~0.1 s on the compiled core).
+    legacy path needs ~130 s, the orbit-memoized engine materializes only a
+    few hundred leaves (~0.1 s on the compiled core).
     One round keeps the suite fast while pinning the claim.
     """
     result = benchmark.pedantic(
@@ -127,7 +125,7 @@ def bench_engine_exploration_n4_frontier(benchmark):
     )
     assert result.runs == 369_600
     assert result.violations == 0
-    assert result.stats.memo_hits > 0
+    assert result.stats.orbit_hits > 0
 
 
 def bench_containment_checks(benchmark):

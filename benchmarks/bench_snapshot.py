@@ -112,57 +112,3 @@ def bench_immediate_snapshot(benchmark):
 
     assert benchmark(run)
 
-
-def _chatty_algorithm(rounds):
-    def algorithm(ctx):
-        for index in range(rounds):
-            yield Write("S", (ctx.identity, index))
-            yield Snapshot("S")
-        return ctx.identity
-
-    return algorithm
-
-
-def bench_fork_depth20_compiled_vs_generator(benchmark):
-    """E-FORK: the compiled core's O(1) fork vs generator replay, depth 20.
-
-    The generator runtime rebuilds each live process's generator by
-    replaying its whole result log, so a fork at depth d costs O(d)
-    resumptions; the compiled machine copies a few flat arrays.  The
-    acceptance bar for the compiled protocol core is >= 10x at depth 20
-    (measured ~100x+; see docs/architecture.md for the table).
-    """
-    import time
-
-    from repro.shm import RoundRobinScheduler, Runtime, compile_protocol
-    from repro.shm.runtime import default_identities
-
-    n, rounds, depth = 2, 10, 20
-    algorithm = _chatty_algorithm(rounds)
-    identities = default_identities(n)
-
-    runtime = Runtime(
-        algorithm, identities, RoundRobinScheduler(), arrays={"S": None}
-    )
-    program = compile_protocol(algorithm, identities, arrays={"S": None})
-    machine = program.machine()
-    for _ in range(rounds):
-        for pid in range(n):
-            runtime.step(pid)
-            machine.step(pid)
-    assert runtime.step_count == machine.step_count == depth
-
-    def time_forks(forkable, count=300):
-        started = time.perf_counter()
-        for _ in range(count):
-            forkable.fork()
-        return time.perf_counter() - started
-
-    def measure():
-        generator_seconds = time_forks(runtime)
-        compiled_seconds = time_forks(machine)
-        return generator_seconds / compiled_seconds
-
-    speedup = benchmark(measure)
-    assert machine.fork().state_key() == machine.state_key()
-    assert speedup >= 10, f"compiled fork only {speedup:.1f}x faster"

@@ -736,7 +736,6 @@ def _cmd_explore(args) -> int:
         available_specs,
         explore_many,
         get_spec,
-        make_spec_runtime,
     )
 
     names = (
@@ -756,12 +755,9 @@ def _cmd_explore(args) -> int:
             args.n,
             executor="process" if args.jobs and not subtree else None,
             max_workers=args.jobs or None,
-            memoize=not args.no_memo,
             max_runs=args.max_runs,
-            core=args.core,
             subtree_jobs=args.jobs if subtree else 0,
             shard_depth=args.shard_depth,
-            quotient=args.quotient == "on",
         )
     except ExplorationBudgetExceeded as error:
         print(f"error: {error}; raise --max-runs", file=sys.stderr)
@@ -773,25 +769,27 @@ def _cmd_explore(args) -> int:
         for result in results
         if result.violations and result.name != "election"
     )
+    legacy_report: list[str] = []
+    if args.compare_legacy:
+        mismatches, legacy_report = _compare_legacy(results)
+        failures += mismatches
     if args.json:
         payload = {
             "tasks": names,
             "n": list(args.n),
-            "core": args.core,
             "jobs": args.jobs,
             "shard_depth": args.shard_depth,
-            "memoize": not args.no_memo,
-            "quotient": args.quotient == "on",
             "total_seconds": total_seconds,
             "failures": failures,
             "results": [result.to_json() for result in results],
         }
         emit_json(payload, args.json)
         if _json_only(args):
+            print("\n".join(legacy_report), file=sys.stderr)
             return 1 if failures else 0
     print(
         f"{'task':<10} {'n':>3} {'runs':>14} {'distinct':>9} "
-        f"{'memo_hits':>10} {'orbits':>9} {'forks':>9} {'time':>11}  status"
+        f"{'orbit_hits':>10} {'orbits':>9} {'forks':>9} {'time':>11}  status"
     )
     for result in results:
         status = (
@@ -799,27 +797,55 @@ def _cmd_explore(args) -> int:
         )
         print(
             f"{result.name:<10} {result.n:>3} {result.runs:>14} "
-            f"{result.distinct:>9} {result.stats.memo_hits:>10} "
+            f"{result.distinct:>9} {result.stats.orbit_hits:>10} "
             f"{result.stats.orbits:>9} "
             f"{result.stats.forks:>9} {result.seconds*1000:>8.1f} ms  {status}"
         )
-    if args.compare_legacy:
-        from .shm.explore import _legacy_explore_interleavings
-
-        print("\nlegacy re-execution explorer on the same workloads:")
-        for result in results:
-            make_runtime = make_spec_runtime(get_spec(result.name), result.n)
-            started = _time.perf_counter()
-            legacy_runs = sum(
-                1 for _ in _legacy_explore_interleavings(make_runtime)
-            )
-            elapsed = _time.perf_counter() - started
-            speedup = elapsed / result.seconds if result.seconds else float("inf")
-            print(
-                f"{result.name:<10} n={result.n}  runs={legacy_runs:<10} "
-                f"{elapsed*1000:10.1f} ms   engine speedup {speedup:8.1f}x"
-            )
+    if legacy_report:
+        print("\n".join(legacy_report))
     return 1 if failures else 0
+
+
+def _compare_legacy(results) -> tuple[int, list[str]]:
+    """Cross-check each engine result against the legacy re-execution
+    explorer: ``(mismatching (task, n) cells, report lines)``.  Each
+    mismatch is also reported on stderr as it is found."""
+    import time as _time
+    from collections import Counter
+
+    from .shm.engine import decision_summary, get_spec, make_spec_runtime
+    from .shm.explore import legacy_explore_interleavings
+    from .shm.runtime import freeze_value
+
+    lines = ["\nlegacy re-execution explorer on the same workloads:"]
+    mismatches = 0
+    for result in results:
+        spec = get_spec(result.name)
+        started = _time.perf_counter()
+        legacy = Counter(
+            tuple(freeze_value(v) for v in run.outputs)
+            for run in legacy_explore_interleavings(
+                make_spec_runtime(spec, result.n)
+            )
+        )
+        elapsed = _time.perf_counter() - started
+        expected = decision_summary(spec, result.n, legacy)
+        got = (result.runs, result.distinct, result.violations)
+        speedup = elapsed / result.seconds if result.seconds else float("inf")
+        verdict = "match" if got == expected else "MISMATCH"
+        lines.append(
+            f"{result.name:<10} n={result.n}  runs={expected[0]:<10} "
+            f"{elapsed*1000:10.1f} ms   engine speedup {speedup:8.1f}x  "
+            f"{verdict}"
+        )
+        if got != expected:
+            mismatches += 1
+            print(
+                f"error: {result.name} n={result.n}: engine "
+                f"(runs, distinct, violations)={got}, legacy {expected}",
+                file=sys.stderr,
+            )
+    return mismatches, lines
 
 
 def _cmd_verify(args) -> int:
@@ -1321,13 +1347,6 @@ COMMANDS: tuple[Command, ...] = (
                 "exploration's subtrees instead of whole (task, n) cells",
             ),
             arg(
-                "--core",
-                choices=["compiled", "generator"],
-                default="compiled",
-                help="runtime core: compiled step-table machines (default) "
-                "or the reference generator runtime",
-            ),
-            arg(
                 "--shard-depth",
                 type=int,
                 default=None,
@@ -1343,23 +1362,11 @@ COMMANDS: tuple[Command, ...] = (
                 "runs are free)",
             ),
             arg(
-                "--no-memo",
-                action="store_true",
-                help="disable state memoization (fork-sharing only)",
-            ),
-            arg(
-                "--quotient",
-                choices=["on", "off"],
-                default="on",
-                help="memoize over value-symmetry orbits instead of exact "
-                "states (compiled core only; counts stay exact — default "
-                "on)",
-            ),
-            arg(
                 "--compare-legacy",
                 action="store_true",
-                help="also time the legacy re-execution explorer and print "
-                "speedups",
+                help="cross-check every result against the legacy "
+                "re-execution explorer (exit 1 on a runs/distinct/"
+                "violations mismatch) and print speedups",
             ),
         ),
     ),

@@ -635,7 +635,7 @@ def replay_decision_map(
     )
 
     engine = PrefixSharingEngine(program.machine)
-    decisions = engine.decided_vectors(memoize=True)
+    decisions = engine.decided_vectors()
     problems = []
     for outputs, count in sorted(decisions.items(), key=repr):
         if not task.is_legal_output(list(outputs)):

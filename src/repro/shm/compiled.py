@@ -1,11 +1,11 @@
 """The compiled protocol core: step tables + array-backed machine states.
 
 The generator runtime (:mod:`repro.shm.runtime`) is the *reference
-semantics* of the model: algorithms are Python generators, a fork rebuilds
-generator state by replaying each process's result log (O(steps so far)
-resumptions), and a state key recursively freezes the logs.  Both costs sit
-on the hottest path in the repository — exhaustive exploration forks and
-keys at every branch point.
+semantics* of the model: algorithms are Python generators, which cannot be
+copied, so snapshotting a live run means replaying each process's result
+log (O(steps so far) resumptions) and keying a state means freezing those
+logs.  Both costs would sit on the hottest path in the repository —
+exhaustive exploration forks and keys at every branch point.
 
 This module commits to a canonical machine representation *once* and makes
 every downstream operation a cheap structural one (the lex-leader move of
@@ -37,8 +37,7 @@ Semantics notes (all verified by the differential suite in
 * Written values are frozen (:func:`repro.shm.runtime.freeze_value`) once
   at compile time, so cells and snapshots are hashable without a per-key
   walk.  This is observationally identical under the model's existing
-  discipline that written values are immutable (see
-  :meth:`repro.shm.registers.SharedArray.clone`).
+  discipline that written values are immutable.
 * Per-writer version counters are *not* part of the machine state: no
   operation exposes them to algorithms, so dropping them is sound and
   strictly increases memoization hits.
@@ -84,6 +83,7 @@ _TABLE_TOTALS = {
     "nodes": 0,  # local states traced (post frame-merging)
     "replays": 0,  # generator replays paid to trace them
     "frame_merges": 0,  # history-trie nodes collapsed by frame signatures
+    "frame_bails": 0,  # frame analyses that fell back to history nodes
     "table_imports": 0,  # pre-traced tables adopted by pool workers
 }
 
@@ -313,6 +313,9 @@ class CompiledProtocol:
 
         signature = generator_signature(generator, freeze_value)
         if signature is None:
+            # The bytecode analysis gave up: this state stays a
+            # history-trie node, which silently costs memo hits.
+            _TABLE_TOTALS["frame_bails"] += 1
             return None
         return (pid, signature)
 

@@ -1,23 +1,28 @@
 """Prefix-sharing exploration engine (the model-checking hot path).
 
-The legacy explorer (:mod:`repro.shm.explore`) re-executes every run prefix
-from scratch: exploring the schedule tree of an n-process protocol costs
-O(nodes x depth) full step re-executions, which caps exhaustive checking at
-n <= 3.  This engine turns exploration into a real search procedure:
+The legacy explorer (:func:`repro.shm.explore.legacy_explore_interleavings`)
+re-executes every run prefix from scratch: exploring the schedule tree of
+an n-process protocol costs O(nodes x depth) full step re-executions,
+which caps exhaustive checking at n <= 3.  This engine turns exploration
+into a real search procedure over the compiled protocol core
+(:mod:`repro.shm.compiled`):
 
 * **Prefix sharing** — the schedule tree is walked with
-  :meth:`repro.shm.runtime.Runtime.fork`: at a branching configuration the
-  live runtime is snapshotted once per extra branch instead of replaying
-  the whole prefix per node.  A fork clones shared memory and oracle state
-  directly and rebuilds generator state by replaying each process's logged
-  operation *results* locally — no shared-memory operation is re-executed.
+  :meth:`MachineState.fork <repro.shm.compiled.MachineState.fork>`: at a
+  branching configuration the live machine is copied once per extra
+  branch (a few flat lists) instead of replaying the whole prefix per
+  node.
 
-* **State memoization** — interleavings of independent operations commute
-  into the same global state.  :meth:`Runtime.state_key` gives a hashable
-  signature of the global state; the set of decided output vectors (with
-  multiplicity) reachable from a state is a function of the state alone, so
-  subtrees are computed once and reused (a partial-order-reduction-flavoured
-  collapse, sound for the model's deterministic algorithms).
+* **Orbit memoization** — interleavings of independent operations commute
+  into the same global state, and states that differ only in decided
+  outputs, oracle arrival order or (for specs declaring interchangeable
+  oracle values) a relabeling of those values share their entire future.
+  :meth:`MachineState.orbit_key
+  <repro.shm.compiled.MachineState.orbit_key>` signs that orbit; the
+  memo stores each subtree's outcome once and re-fills it into every
+  other state of the orbit, so counts stay exact (a
+  partial-order-reduction-flavoured collapse, sound for the model's
+  deterministic algorithms).
 
 * **Symmetry canonicalization** — the model's algorithms are
   comparison-based and index-independent (Section 2.2; the harness checks
@@ -33,23 +38,12 @@ n <= 3.  This engine turns exploration into a real search procedure:
   executor (jobs are dispatched by registry name, so nothing unpicklable
   crosses the process boundary).
 
-The engine is runtime-polymorphic: it drives anything exposing the small
-``fork``/``step``/``state_key``/``enabled_pids``/``outputs``/``result``
-surface.  Two cores implement it:
-
-* the **compiled core** (:mod:`repro.shm.compiled`, the default) — step
-  tables plus array-backed :class:`~repro.shm.compiled.MachineState`,
-  whose forks are plain array copies and whose state keys are packed
-  tuples (:func:`make_spec_machine`);
-* the **generator core** (:class:`repro.shm.runtime.Runtime`, the
-  reference semantics) — forks replay per-process result logs
-  (:func:`make_spec_runtime`), kept as the oracle the compiled core is
-  differentially tested against (``core="generator"``).
-
 Single explorations can additionally shard their DFS frontier across a
 process pool (:mod:`repro.shm.parallel`; ``jobs``/``shard_depth`` on
-:func:`explore_one`).  The legacy prefix re-execution explorer remains in
-:mod:`repro.shm.explore` (``engine=False``).
+:func:`explore_one`).  The independent reference is the legacy explorer:
+it runs the generator runtime (:class:`repro.shm.runtime.Runtime`, the
+model's reference semantics) fresh per prefix, with no fork, memo or
+step table to trust, and the differential suites pin this engine to it.
 """
 
 from __future__ import annotations
@@ -63,15 +57,6 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from .runtime import Algorithm, Runtime, RunResult, freeze_value
-
-#: Runtime cores an exploration can run on.
-CORES = ("compiled", "generator")
-
-
-def _check_core(core: str) -> str:
-    if core not in CORES:
-        raise ValueError(f"unknown runtime core {core!r}; expected one of {CORES}")
-    return core
 
 
 class ExplorationBudgetExceeded(RuntimeError):
@@ -112,6 +97,15 @@ def _register_orbit_counters() -> None:
 _register_orbit_counters()
 
 
+def _require_quotient(quotient: bool) -> None:
+    if not quotient:
+        raise ValueError(
+            "quotient=False selected the exact state-key memo, which was "
+            "removed: the orbit quotient is the only memo mode "
+            "(legacy_explore_interleavings is the unmemoized reference)"
+        )
+
+
 @dataclass
 class EngineStats:
     """Counters describing one exploration (observability + docs tables)."""
@@ -119,8 +113,6 @@ class EngineStats:
     nodes: int = 0  #: internal configurations expanded
     runs: int = 0  #: completed runs materialized (after memoization)
     forks: int = 0  #: runtime snapshots taken
-    memo_hits: int = 0  #: subtrees served from the state memo
-    memo_entries: int = 0  #: distinct states memoized
     subsets_pruned: int = 0  #: participant subsets collapsed by symmetry
     peak_stack: int = 0  #: deepest DFS stack (memory high-water mark)
     orbits: int = 0  #: distinct value-symmetry orbits memoized
@@ -131,8 +123,6 @@ class EngineStats:
         self.nodes += other.nodes
         self.runs += other.runs
         self.forks += other.forks
-        self.memo_hits += other.memo_hits
-        self.memo_entries += other.memo_entries
         self.subsets_pruned += other.subsets_pruned
         self.peak_stack = max(self.peak_stack, other.peak_stack)
         self.orbits += other.orbits
@@ -145,8 +135,6 @@ class EngineStats:
             "nodes": self.nodes,
             "runs": self.runs,
             "forks": self.forks,
-            "memo_hits": self.memo_hits,
-            "memo_entries": self.memo_entries,
             "subsets_pruned": self.subsets_pruned,
             "peak_stack": self.peak_stack,
             "orbits": self.orbits,
@@ -159,20 +147,23 @@ class PrefixSharingEngine:
     """Explore every interleaving of one system via fork-at-decision-point.
 
     Args:
-        make_runtime: factory producing a fresh :class:`Runtime`; called
-            once per exploration (the engine forks from it, it is *not*
-            re-invoked per prefix).  The runtime's scheduler is ignored.
+        make_runtime: factory producing a fresh compiled-core
+            :class:`~repro.shm.compiled.MachineState`; called once per
+            exploration (the engine forks from it, it is *not* re-invoked
+            per prefix).  The machine's scheduler is ignored.
         participants: pids allowed to take steps (others crash before
             their first step); defaults to all processes.
         max_runs: raise :class:`ExplorationBudgetExceeded` beyond this many
-            *materialized* runs — every completed run in exact mode; in
-            memoized mode only leaves actually visited (logical runs
-            served from the memo are free, which is the point of the
-            budget: it bounds work, and memoized mode does less of it).
+            *materialized* runs — every completed run for :meth:`runs`;
+            for :meth:`decided_vectors` only leaves actually visited
+            (logical runs served from the memo are free, which is the
+            point of the budget: it bounds work, and memoization does less
+            of it).
         max_depth: per-run step bound (guards against non-termination).
         stats: optional shared :class:`EngineStats` to accumulate into.
-        quotient: memoize over value-symmetry *orbits* instead of exact
-            states (compiled core only; see :meth:`decided_vectors`).
+        quotient: must stay True — the orbit quotient is the only memo
+            mode; False (the removed exact state-key memo) raises
+            :class:`ValueError`.
         relabeler: the spec's declared value-relabeling group
             (:attr:`ExplorationSpec.value_relabel`); None means only the
             relabeling-free orbit refinements apply.
@@ -187,16 +178,17 @@ class PrefixSharingEngine:
 
     def __init__(
         self,
-        make_runtime: Callable[[], Runtime],
+        make_runtime: Callable[[], Any],
         participants: Sequence[int] | None = None,
         max_runs: int | None = None,
         max_depth: int = 10_000,
         stats: EngineStats | None = None,
-        quotient: bool = False,
+        quotient: bool = True,
         relabeler: Any = None,
         orbit_memo: dict | None = None,
         shared_memo: Any = None,
     ):
+        _require_quotient(quotient)
         self._make = make_runtime
         self.participants = (
             None if participants is None else frozenset(participants)
@@ -204,13 +196,12 @@ class PrefixSharingEngine:
         self.max_runs = max_runs
         self.max_depth = max_depth
         self.stats = stats if stats is not None else EngineStats()
-        self.quotient = quotient
         self.relabeler = relabeler
         self.orbit_memo = orbit_memo
         self.shared_memo = shared_memo
 
     # ------------------------------------------------------------------
-    # Exact mode: the drop-in replacement for the legacy explorer
+    # Every run, materialized
     # ------------------------------------------------------------------
 
     def runs(self) -> Iterator[RunResult]:
@@ -221,7 +212,7 @@ class PrefixSharingEngine:
         full prefix re-execution.
         """
         produced = 0
-        root = self._make()
+        root = self._make_root()
         allowed = self._allowed(root)
         self._check_depth(root)
         enabled = self._enabled(root, allowed)
@@ -262,130 +253,27 @@ class PrefixSharingEngine:
             self.stats.peak_stack = max(self.stats.peak_stack, len(stack))
 
     # ------------------------------------------------------------------
-    # Pruned mode: memoized decided-vector counting
+    # Orbit-memoized decided-vector counting
     # ------------------------------------------------------------------
 
-    def decided_vectors(self, memoize: bool = True) -> Counter:
+    def decided_vectors(self) -> Counter:
         """Multiset of decided output vectors over all interleavings.
 
         Returns a :class:`collections.Counter` mapping the (frozen) tuple
         of per-pid outputs of each completed run to the number of
         interleavings producing it — exactly the multiset the legacy
         explorer's ``RunResult.outputs`` induce, but computed with subtree
-        memoization: once the outcome multiset of a global state is known,
-        every other interleaving reaching that state reuses it.  Counts are
-        preserved because the memoized counter is *added* once per arrival
-        path.
-
-        ``memoize=False`` degrades to plain fork-sharing (used by tests to
-        show count preservation).
-
-        With ``quotient=True`` (and a compiled-core runtime) the memo is a
-        table over value-symmetry **orbits** (:meth:`MachineState.orbit_key
-        <repro.shm.compiled.MachineState.orbit_key>`): entries store suffix
-        counters over the frame's undecided positions and are re-filled
-        from each querying state's own decided outputs — counts stay exact
-        and byte-identical to this method's output, the differential suite
-        pins that.  A pre-fork probe additionally serves memo hits without
-        forking or stepping at all.
-        """
-        if self.quotient and memoize:
-            probe = self._make()
-            if hasattr(probe, "orbit_key"):
-                return self._decided_vectors_quotient()
-            # Generator-core runtimes expose no orbit surface; the exact
-            # path below is the reference they are compared against.
-        return self._decided_vectors_exact(memoize)
-
-    def _decided_vectors_exact(self, memoize: bool) -> Counter:
-        produced = 0
-        memo: dict[Any, Counter] = {}
-        root = self._make()
-        allowed = self._allowed(root)
-        self._check_depth(root)
-
-        def leaf(runtime: Runtime) -> Counter:
-            nonlocal produced
-            produced += 1
-            if self.max_runs is not None and produced > self.max_runs:
-                raise ExplorationBudgetExceeded(
-                    f"exploration produced more than {self.max_runs} runs"
-                )
-            self.stats.runs += 1
-            return Counter(
-                {tuple(freeze_value(v) for v in runtime.outputs): 1}
-            )
-
-        enabled = self._enabled(root, allowed)
-        if not enabled:
-            return leaf(root)
-
-        # Post-order DFS with an explicit stack (run length may exceed the
-        # recursion limit).  Frames: [runtime, enabled, index, acc, key].
-        total: Counter | None = None
-        stack: list[list[Any]] = []
-
-        def open_frame(runtime: Runtime, branches: list[int]) -> Counter | None:
-            """Push a frame for an internal node, or return a memo hit."""
-            key = runtime.state_key() if memoize else None
-            if key is not None and key in memo:
-                self.stats.memo_hits += 1
-                return memo[key]
-            self.stats.nodes += 1
-            stack.append([runtime, branches, 0, Counter(), key])
-            self.stats.peak_stack = max(self.stats.peak_stack, len(stack))
-            return None
-
-        def propagate(outcome: Counter) -> None:
-            nonlocal total
-            if stack:
-                stack[-1][3] += outcome
-            else:
-                total = outcome
-
-        hit = open_frame(root, enabled)
-        if hit is not None:
-            return Counter(hit)
-        while stack:
-            frame = stack[-1]
-            runtime, branches, index, acc, key = frame
-            if index == len(branches):
-                if key is not None:
-                    memo[key] = acc
-                    self.stats.memo_entries += 1
-                stack.pop()
-                propagate(acc)
-                continue
-            frame[2] += 1
-            if frame[2] == len(branches):
-                child = runtime
-            else:
-                child = runtime.fork()
-                self.stats.forks += 1
-            child.step(branches[index])
-            self._check_depth(child)
-            child_enabled = self._enabled(child, allowed)
-            if not child_enabled:
-                propagate(leaf(child))
-                continue
-            hit = open_frame(child, child_enabled)
-            if hit is not None:
-                propagate(hit)
-        assert total is not None
-        return Counter(total)
-
-    def _decided_vectors_quotient(self) -> Counter:
-        """Orbit-quotient DFS (see :meth:`decided_vectors`).
-
-        Structure mirrors :meth:`_decided_vectors_exact`, with three
-        changes:
+        memoization over value-symmetry **orbits**
+        (:meth:`MachineState.orbit_key
+        <repro.shm.compiled.MachineState.orbit_key>`):
 
         * memo entries are ``(positions, suffix counts)`` keyed by orbit —
           ``positions`` is the frame's undecided (enabled ∩ allowed) pid
           tuple, and the suffix counts carry only those positions' decided
           values; the decided prefix is constant under a frame, so the
           projection is lossless, and a hit re-fills the suffix over the
-          *querying* state's outputs;
+          *querying* state's outputs.  Counts are preserved because the
+          re-filled counter is *added* once per arrival path;
         * with a declared relabeler, keys are canonicalized
           (:class:`~repro.shm.compiled.ValueCanonicalizer`) and suffixes
           are stored in the canonical frame — forward-mapped on store,
@@ -396,13 +284,15 @@ class PrefixSharingEngine:
           before paying for the fork + step (counted as ``lex_pruned``:
           the branch is subsumed by the orbit representative explored
           earlier in the engine's lexicographic order).
+
+        The differential suites pin the Counter to the legacy explorer's.
         """
         produced = 0
         memo: dict[Any, tuple] = (
             self.orbit_memo if self.orbit_memo is not None else {}
         )
         shared = self.shared_memo
-        root = self._make()
+        root = self._make_root()
         allowed = self._allowed(root)
         self._check_depth(root)
 
@@ -418,8 +308,8 @@ class PrefixSharingEngine:
                 # Cache on the shared program: canonical-node routing is
                 # reusable across every exploration of this step table.
                 program._engine_canonicalizer = canon
-        probing = canon is None and hasattr(root, "probe_step")
-        still = getattr(type(root), "STILL_RUNNING", None)
+        probing = canon is None
+        still = root.STILL_RUNNING
         max_runs = self.max_runs
         max_depth = self.max_depth
         # With the full participant set (the common case) the per-node
@@ -427,8 +317,7 @@ class PrefixSharingEngine:
         full_set = len(allowed) == root.n
 
         # Hot-loop counters stay locals; folded into stats in `finally`.
-        nodes_l = runs_l = forks_l = hits_l = entries_l = 0
-        orbits_l = lex_l = peak_l = 0
+        nodes_l = runs_l = forks_l = hits_l = orbits_l = lex_l = peak_l = 0
 
         # Accumulators are plain dicts, not Counters: Counter.__iadd__
         # rescans the whole accumulator for positivity on every merge,
@@ -554,7 +443,6 @@ class PrefixSharingEngine:
                                 )
                         entry = (positions, suffixes)
                         memo[key] = entry
-                        entries_l += 1
                         orbits_l += 1
                         if shared is not None:
                             shared.offer(key, entry)
@@ -612,8 +500,6 @@ class PrefixSharingEngine:
             stats.nodes += nodes_l
             stats.runs += runs_l
             stats.forks += forks_l
-            stats.memo_hits += hits_l
-            stats.memo_entries += entries_l
             stats.orbits += orbits_l
             stats.orbit_hits += hits_l
             stats.lex_pruned += lex_l
@@ -625,16 +511,27 @@ class PrefixSharingEngine:
 
     # ------------------------------------------------------------------
 
-    def _allowed(self, runtime: Runtime) -> frozenset[int]:
+    def _make_root(self):
+        root = self._make()
+        if not hasattr(root, "orbit_key"):
+            raise TypeError(
+                f"{type(root).__name__} is not a compiled-core machine: the "
+                "engine explores MachineState factories (make_spec_machine, "
+                "CompiledProtocol.machine); the generator Runtime is "
+                "explored by legacy_explore_interleavings"
+            )
+        return root
+
+    def _allowed(self, machine) -> frozenset[int]:
         if self.participants is None:
-            return frozenset(range(runtime.n))
+            return frozenset(range(machine.n))
         return self.participants
 
-    def _enabled(self, runtime: Runtime, allowed: frozenset[int]) -> list[int]:
-        return [pid for pid in runtime.enabled_pids() if pid in allowed]
+    def _enabled(self, machine, allowed: frozenset[int]) -> list[int]:
+        return [pid for pid in machine.enabled_pids() if pid in allowed]
 
-    def _check_depth(self, runtime: Runtime) -> None:
-        if runtime.step_count > self.max_depth:
+    def _check_depth(self, machine) -> None:
+        if machine.step_count > self.max_depth:
             raise ExplorationBudgetExceeded(
                 f"run prefix exceeded {self.max_depth} steps; "
                 "non-terminating protocol?"
@@ -722,13 +619,11 @@ class SubsetDecisionProfile:
 
 
 def explore_decided_subsets(
-    make_runtime: Callable[[], Runtime],
+    make_runtime: Callable[[], Any],
     min_participants: int = 1,
     assume_symmetric: bool = True,
-    memoize: bool = True,
     max_runs: int | None = None,
     max_depth: int = 10_000,
-    quotient: bool = False,
     value_relabel: Any = None,
 ) -> SubsetDecisionProfile:
     """Decided-vector profile over every participant subset.
@@ -737,10 +632,9 @@ def explore_decided_subsets(
     representative subset per size is explored and its results are weighted
     by the class size; otherwise all ``2^n - 1`` subsets run.
 
-    ``quotient`` turns on orbit memoization inside each subset's engine
-    (compiled-core factories only).  Each subset keeps its *own* orbit
-    memo: orbit keys do not encode the participant set, so sharing one
-    table across subsets would conflate their suffix positions.
+    Each subset's engine keeps its *own* orbit memo: orbit keys do not
+    encode the participant set, so sharing one table across subsets would
+    conflate their suffix positions.
     """
     probe = make_runtime()
     n = probe.n
@@ -765,10 +659,9 @@ def explore_decided_subsets(
             max_runs=max_runs,
             max_depth=max_depth,
             stats=profile.stats,
-            quotient=quotient,
-            relabeler=value_relabel if quotient else None,
+            relabeler=value_relabel,
         )
-        profile.by_subset[subset] = engine.decided_vectors(memoize=memoize)
+        profile.by_subset[subset] = engine.decided_vectors()
         profile.weights[subset] = weight
     return profile
 
@@ -1068,15 +961,13 @@ class BatchResult:
     violations: int  #: runs whose decided vector is illegal for the task
     seconds: float
     stats: EngineStats
-    core: str = "compiled"  #: runtime core the exploration ran on
     shards: int = 0  #: subtree shards (0 = one serial exploration)
-    quotient: bool = False  #: value-symmetry orbit quotient was active
 
     def __str__(self) -> str:
         status = "OK" if self.violations == 0 else f"{self.violations} ILLEGAL"
         return (
             f"{self.name:<10} n={self.n}  runs={self.runs:<8} "
-            f"distinct={self.distinct:<5} memo_hits={self.stats.memo_hits:<7} "
+            f"distinct={self.distinct:<5} orbit_hits={self.stats.orbit_hits:<7} "
             f"forks={self.stats.forks:<7} {self.seconds*1000:8.1f} ms  {status}"
         )
 
@@ -1085,19 +976,19 @@ class BatchResult:
         return {
             "name": self.name,
             "n": self.n,
-            "core": self.core,
             "runs": self.runs,
             "distinct": self.distinct,
             "violations": self.violations,
             "seconds": self.seconds,
             "shards": self.shards,
-            "quotient": self.quotient,
             "stats": self.stats.to_json(),
         }
 
 
 def make_spec_runtime(spec: ExplorationSpec, n: int) -> Callable[[], Runtime]:
-    """Generator-core runtime factory for one spec (identities ``1..n``)."""
+    """Generator :class:`Runtime` factory for one spec (identities ``1..n``):
+    the reference semantics :func:`repro.shm.explore.legacy_explore_interleavings`
+    explores."""
     from .schedulers import RoundRobinScheduler
 
     algorithm = spec.algorithm_factory(n)
@@ -1156,51 +1047,28 @@ def make_spec_machine(
     return make_machine
 
 
-def spec_factory(
-    spec: ExplorationSpec,
-    n: int,
-    core: str = "compiled",
-    quotient: bool = False,
-) -> Callable[[], Any]:
-    """The runtime factory for one spec on the chosen core."""
-    _check_core(core)
-    if core == "compiled":
-        return make_spec_machine(spec, n, frame_nodes=quotient)
-    return make_spec_runtime(spec, n)
-
-
 def explore_one(
     spec: ExplorationSpec | str,
     n: int,
-    memoize: bool = True,
     max_runs: int | None = None,
     max_depth: int = 10_000,
-    core: str = "compiled",
     jobs: int = 0,
     shard_depth: int | None = None,
-    quotient: bool = True,
 ) -> BatchResult:
     """Explore one spec at one size and validate its decided vectors.
 
     Args:
-        core: ``"compiled"`` (array-backed step-table machines, the
-            default) or ``"generator"`` (the reference runtime).
         jobs: with ``jobs >= 2`` the DFS frontier is sharded at
             ``shard_depth`` across a process pool
             (:func:`repro.shm.parallel.explore_decided_parallel`) —
             requires a registry-resolvable spec name.
         shard_depth: frontier depth for the parallel path (default:
             :func:`repro.shm.parallel.default_shard_depth`).
-        quotient: memoize over value-symmetry orbits (default on; only
-            effective on the compiled core with ``memoize`` — the
-            generator core stays the exact reference).
     """
-    _check_core(core)
     if isinstance(spec, str):
         spec = get_spec(spec)
     if n < spec.min_n:
         raise ValueError(f"{spec.name} needs n >= {spec.min_n}, got {n}")
-    task = spec.task_factory(n)
 
     parallel = jobs >= 2 or shard_depth is not None
     if parallel and (
@@ -1215,7 +1083,6 @@ def explore_one(
         )
         parallel = False
 
-    effective_quotient = bool(quotient and memoize and core == "compiled")
     stats = EngineStats()
     shards = 0
     started = time.perf_counter()
@@ -1227,46 +1094,48 @@ def explore_one(
             n,
             jobs=jobs,
             shard_depth=shard_depth,
-            memoize=memoize,
             max_runs=max_runs,
             max_depth=max_depth,
-            core=core,
             stats=stats,
-            quotient=effective_quotient,
         )
         decisions = outcome.decisions
         shards = outcome.shards
     else:
         engine = PrefixSharingEngine(
-            spec_factory(spec, n, core, quotient=effective_quotient),
+            make_spec_machine(spec, n, frame_nodes=True),
             max_runs=max_runs,
             max_depth=max_depth,
             stats=stats,
-            quotient=effective_quotient,
-            relabeler=(
-                spec.value_relabel if effective_quotient else None
-            ),
+            relabeler=spec.value_relabel,
         )
-        decisions = engine.decided_vectors(memoize=memoize)
+        decisions = engine.decided_vectors()
     seconds = time.perf_counter() - started
+    runs, distinct, violations = decision_summary(spec, n, decisions)
+    return BatchResult(
+        name=spec.name,
+        n=n,
+        runs=runs,
+        distinct=distinct,
+        violations=violations,
+        seconds=seconds,
+        stats=stats,
+        shards=shards,
+    )
+
+
+def decision_summary(
+    spec: ExplorationSpec, n: int, decisions: Counter
+) -> tuple[int, int, int]:
+    """``(runs, distinct vectors, illegal runs)`` of a decided-vector
+    multiset, validated against the spec's task (identities ``1..n``)."""
+    task = spec.task_factory(n)
     identities = list(range(1, n + 1))
     violations = sum(
         count
         for outputs, count in decisions.items()
         if not task.is_legal_output(list(outputs), identities)
     )
-    return BatchResult(
-        name=spec.name,
-        n=n,
-        runs=sum(decisions.values()),
-        distinct=len(decisions),
-        violations=violations,
-        seconds=seconds,
-        stats=stats,
-        core=core,
-        shards=shards,
-        quotient=effective_quotient,
-    )
+    return sum(decisions.values()), len(decisions), violations
 
 
 def _explore_job(name: str, n: int, options: dict) -> BatchResult:
@@ -1279,13 +1148,10 @@ def explore_many(
     n_range: Sequence[int],
     executor: str | None = None,
     max_workers: int | None = None,
-    memoize: bool = True,
     max_runs: int | None = None,
     max_depth: int = 10_000,
-    core: str = "compiled",
     subtree_jobs: int = 0,
     shard_depth: int | None = None,
-    quotient: bool = True,
 ) -> list[BatchResult]:
     """Explore a battery of tasks across system sizes.
 
@@ -1297,23 +1163,14 @@ def explore_many(
             :class:`concurrent.futures.ProcessPoolExecutor` — only jobs
             named via the registry can cross the process boundary, any
             others (and any executor failure) fall back to serial.
-        core: runtime core every exploration runs on (``"compiled"`` /
-            ``"generator"``).
         subtree_jobs / shard_depth: with ``subtree_jobs >= 2`` each
             exploration shards its own DFS frontier at ``shard_depth``
             instead (:mod:`repro.shm.parallel`); mutually exclusive with
             ``executor="process"`` (pools do not nest — the per-cell
             executor is ignored in that case).
-        max_workers / memoize / max_runs / max_depth: passed through.
+        max_workers / max_runs / max_depth: passed through.
     """
-    _check_core(core)
-    options = {
-        "memoize": memoize,
-        "max_runs": max_runs,
-        "max_depth": max_depth,
-        "core": core,
-        "quotient": quotient,
-    }
+    options = {"max_runs": max_runs, "max_depth": max_depth}
     jobs: list[tuple[ExplorationSpec | str, int]] = []
     for spec in tasks:
         resolved = get_spec(spec) if isinstance(spec, str) else spec

@@ -211,16 +211,14 @@ def check_algorithm_exhaustive(
     min_participants: int = 1,
     max_runs: int | None = 200_000,
     canonical_subsets: bool = False,
-    core: str = "compiled",
 ) -> CheckReport:
     """Model-check a protocol over *all* interleavings and participant sets.
 
     Exploration runs on the prefix-sharing engine
-    (:mod:`repro.shm.engine`): branch points fork the live runtime instead
-    of re-executing every prefix.  By default the runs execute on the
-    compiled protocol core (:mod:`repro.shm.compiled`) — the algorithm is
-    traced into a step table once and every fork is an array copy;
-    ``core="generator"`` selects the reference generator runtime.  Crash
+    (:mod:`repro.shm.engine`) over the compiled protocol core
+    (:mod:`repro.shm.compiled`): the algorithm is traced into a step table
+    once and every branch point forks the live machine (an array copy)
+    instead of re-executing every prefix.  Crash
     coverage comes from participant subsets plus the per-decision
     extendability check in :func:`validate_run`.
 
@@ -230,39 +228,23 @@ def check_algorithm_exhaustive(
     subset of the symmetry class (see
     :func:`repro.shm.engine.canonical_participant_classes`).
     """
-    from .engine import _check_core
+    from .compiled import CompiledProtocol
 
-    _check_core(core)
     ids = tuple(identities) if identities is not None else default_identities(n)
     factory = system_factory if system_factory is not None else _default_system
 
-    if core == "compiled":
-        from .compiled import CompiledProtocol
+    probe_arrays, probe_objects = factory()
+    program = CompiledProtocol(
+        algorithm, ids, arrays=probe_arrays, objects=probe_objects
+    )
 
-        probe_arrays, probe_objects = factory()
-        program = CompiledProtocol(
-            algorithm, ids, arrays=probe_arrays, objects=probe_objects
+    def make_runtime():
+        arrays, objects = factory()
+        # The harness validates traces (decision order, participants),
+        # so machines record them, unlike the counting hot path.
+        return program.machine(
+            arrays=arrays, objects=objects, record_trace=True
         )
-
-        def make_runtime():
-            arrays, objects = factory()
-            # The harness validates traces (decision order, participants),
-            # so machines record them, unlike the counting hot path.
-            return program.machine(
-                arrays=arrays, objects=objects, record_trace=True
-            )
-
-    else:  # "generator" (the only other value _check_core admits)
-
-        def make_runtime() -> Runtime:
-            arrays, objects = factory()
-            return Runtime(
-                algorithm,
-                ids,
-                scheduler=RoundRobinScheduler(),  # unused by the explorer
-                arrays=arrays,
-                objects=objects,
-            )
 
     report = CheckReport()
     if canonical_subsets:

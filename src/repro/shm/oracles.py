@@ -135,31 +135,6 @@ class GSBOracle:
         self._assigned[pid] = value
         return value
 
-    def clone(self) -> "GSBOracle":
-        """Independent copy with identical committed values and hand-outs.
-
-        Used by :meth:`repro.shm.runtime.Runtime.fork` so exploration can
-        branch a run without re-invoking the oracle's strategy (whose rng
-        was consumed at construction — the fork must keep the commitment).
-        """
-        dup = GSBOracle.__new__(GSBOracle)
-        dup.task = self.task
-        dup._strategy = self._strategy
-        dup._rng = random.Random()
-        dup._rng.setstate(self._rng.getstate())
-        dup._values = list(self._values)
-        dup._arrivals = list(self._arrivals)
-        dup._assigned = dict(self._assigned)
-        return dup
-
-    def state_key(self) -> tuple:
-        """Hashable signature of the oracle state (for exploration memoization)."""
-        return (
-            self.task.parameters if hasattr(self.task, "parameters") else repr(self.task),
-            tuple(self._values),
-            tuple(self._arrivals),
-        )
-
     @property
     def assigned(self) -> dict[int, int]:
         """pid -> value handed out so far (observability for tests)."""

@@ -19,7 +19,7 @@ parallel work:
    stats.
 
 Memoization used to be strictly per worker — subtrees sharded apart could
-not share a memo, so the merged ``stats.runs``/``memo_entries`` could far
+not share a memo, so the merged ``stats.runs``/``orbits`` could far
 exceed a serial memoized exploration's.  Two mechanisms close that gap:
 
 * the parent **pre-traces** its step table (roots + the frontier walk)
@@ -28,8 +28,7 @@ exceed a serial memoized exploration's.  Two mechanisms close that gap:
   (:meth:`~repro.shm.compiled.CompiledProtocol.import_table`); the
   per-process :func:`_cached_spec_factory` remains the fallback for
   unregistered specs and table mismatches;
-* with the orbit quotient on, workers exchange finished orbit-memo
-  entries through a shared-memory ring (:mod:`repro.shm.memoshare`),
+* workers exchange finished orbit-memo entries through a shared-memory ring (:mod:`repro.shm.memoshare`),
   publishing heavy subtrees and consulting the ring before descending —
   cross-subtree sharing without cross-worker locking on the read path.
 
@@ -47,8 +46,9 @@ from .engine import (
     EngineStats,
     ExplorationBudgetExceeded,
     PrefixSharingEngine,
+    _require_quotient,
     get_spec,
-    spec_factory,
+    make_spec_machine,
 )
 from .runtime import freeze_value
 
@@ -130,22 +130,20 @@ def shard_frontier(
     return [prefix for prefix, _ in frontier], leaves, forks
 
 
-#: Worker-side factory cache: one compiled step table per
-#: (spec, n, core, quotient) per process, shared by every shard the pool
-#: lands on that worker — without it each of the (often dozens of) shard
-#: jobs would re-trace the whole table from generator replays.
-_FACTORY_CACHE: dict[tuple[str, int, str, bool], object] = {}
+#: Worker-side factory cache: one compiled step table per (spec, n) per
+#: process, shared by every shard the pool lands on that worker — without
+#: it each of the (often dozens of) shard jobs would re-trace the whole
+#: table from generator replays.
+_FACTORY_CACHE: dict[tuple[str, int], object] = {}
 
 
-def _cached_spec_factory(
-    name: str, n: int, core: str, quotient: bool = False, table=None
-):
-    key = (name, n, core, quotient)
+def _cached_spec_factory(name: str, n: int, table=None):
+    key = (name, n)
     factory = _FACTORY_CACHE.get(key)
     if factory is None:
-        factory = spec_factory(get_spec(name), n, core, quotient=quotient)
-        program = getattr(factory, "program", None)
-        if table is not None and program is not None:
+        factory = make_spec_machine(get_spec(name), n, frame_nodes=True)
+        program = factory.program
+        if table is not None:
             # Adopt the parent's pre-traced table; a structural mismatch
             # returns False and this process keeps its own lazy trace.
             program.import_table(table)
@@ -159,20 +157,14 @@ _WORKER_SHARED = None
 
 
 def _init_worker(
-    name: str,
-    n: int,
-    core: str,
-    quotient: bool,
-    table,
-    ring_name: str | None,
-    lock,
+    name: str, n: int, table, ring_name: str | None, lock
 ) -> None:
     """Pool-worker initializer: seed the factory cache (adopting the
     parent's pre-traced table) and attach the shared orbit-memo ring."""
     global _WORKER_SHARED
     _WORKER_SHARED = None
     try:
-        factory = _cached_spec_factory(name, n, core, quotient, table=table)
+        factory = _cached_spec_factory(name, n, table=table)
     except Exception:
         # A broken spec fails identically inside _subtree_job, where the
         # error reaches the parent attached to a shard instead of killing
@@ -186,7 +178,7 @@ def _init_worker(
         _WORKER_SHARED = SharedOrbitMemo(
             OrbitMemoRing(name=ring_name),
             lock,
-            program=getattr(factory, "program", None),
+            program=factory.program,
         )
     except Exception:
         _WORKER_SHARED = None  # sharing is an optimization, never required
@@ -252,9 +244,7 @@ def _subtree_job(
     ``orbit_memo`` lets the in-parent serial path share one orbit table
     across shards (pool workers share through the ring instead).
     """
-    core = options.get("core", "compiled")
-    quotient = options.get("quotient", False)
-    factory = _cached_spec_factory(name, n, core, quotient)
+    factory = _cached_spec_factory(name, n)
 
     def make_subtree():
         machine = factory()
@@ -266,12 +256,11 @@ def _subtree_job(
         make_subtree,
         max_runs=options.get("max_runs"),
         max_depth=options.get("max_depth", 10_000),
-        quotient=quotient,
-        relabeler=get_spec(name).value_relabel if quotient else None,
+        relabeler=get_spec(name).value_relabel,
         orbit_memo=orbit_memo,
-        shared_memo=_WORKER_SHARED if quotient else None,
+        shared_memo=_WORKER_SHARED,
     )
-    counter = engine.decided_vectors(memoize=options.get("memoize", True))
+    counter = engine.decided_vectors()
     return counter, engine.stats
 
 
@@ -280,37 +269,36 @@ def explore_decided_parallel(
     n: int,
     jobs: int,
     shard_depth: int | None = None,
-    memoize: bool = True,
     max_runs: int | None = None,
     max_depth: int = 10_000,
-    core: str = "compiled",
     stats: EngineStats | None = None,
-    quotient: bool = False,
+    quotient: bool = True,
 ) -> ParallelOutcome:
     """Decided-vector multiset of one spec at one size, sharded subtree-wise.
 
-    Equivalent to ``PrefixSharingEngine(...).decided_vectors(memoize)`` —
+    Equivalent to ``PrefixSharingEngine(...).decided_vectors()`` —
     the subtrees under the depth-``shard_depth`` frontier partition the
     run set — but each subtree explores on its own process.  ``jobs < 2``
     (or an executor-hostile sandbox) runs the same shards serially
     in-process, so results never depend on pool availability.
 
-    With ``quotient`` each shard memoizes over value-symmetry orbits;
-    pool workers additionally exchange finished orbit entries through a
-    shared-memory ring, and in-parent serial shards share one orbit
-    table directly (every shard explores the same participant set, so
-    sharing is sound).
+    Each shard memoizes over value-symmetry orbits; pool workers
+    additionally exchange finished orbit entries through a shared-memory
+    ring, and in-parent serial shards share one orbit table directly
+    (every shard explores the same participant set, so sharing is sound).
+    ``quotient`` must stay True: False (the removed exact state-key memo)
+    raises :class:`ValueError`.
 
     The ``max_runs`` budget applies per shard *and* to the merged total of
     materialized runs, mirroring the serial semantics as closely as a
     partitioned search can.
     """
+    _require_quotient(quotient)
     stats = stats if stats is not None else EngineStats()
-    spec = get_spec(spec_name)
     depth = default_shard_depth(n) if shard_depth is None else shard_depth
     if depth < 0:
         raise ValueError(f"shard depth must be >= 0, got {depth}")
-    factory = _cached_spec_factory(spec_name, n, core, quotient)
+    factory = _cached_spec_factory(spec_name, n)
     prefixes, shallow_leaves, forks = shard_frontier(
         factory, depth, max_runs=max_runs
     )
@@ -318,13 +306,7 @@ def explore_decided_parallel(
     stats.forks += forks
     stats.runs += local_runs
     total: Counter = Counter(shallow_leaves)
-    options = {
-        "core": core,
-        "memoize": memoize,
-        "max_runs": max_runs,
-        "max_depth": max_depth,
-        "quotient": quotient,
-    }
+    options = {"max_runs": max_runs, "max_depth": max_depth}
 
     pooled = False
     outcomes: list[tuple[Counter, EngineStats] | None]
@@ -336,11 +318,10 @@ def explore_decided_parallel(
             # Parent pre-trace: ship this process's step table (roots +
             # everything the frontier walk traced) to each worker once,
             # through the pool initializer.
-            program = getattr(factory, "program", None)
-            table = program.export_table() if program is not None else None
+            table = factory.program.export_table()
             ring_name = None
             lock = None
-            if quotient and program is not None and len(prefixes) > 1:
+            if len(prefixes) > 1:
                 try:
                     import multiprocessing as mp
 
@@ -355,9 +336,7 @@ def explore_decided_parallel(
                     ring = None
                     ring_name = None
                     lock = None
-            initargs = (
-                spec_name, n, core, quotient, table, ring_name, lock
-            )
+            initargs = (spec_name, n, table, ring_name, lock)
             pooled, registry_miss = _run_pooled(
                 spec_name, n, prefixes, options, jobs, outcomes,
                 initargs=initargs,
@@ -402,7 +381,7 @@ def explore_decided_parallel(
                         RuntimeWarning,
                         stacklevel=2,
                     )
-        serial_memo: dict | None = {} if quotient else None
+        serial_memo: dict = {}
         for index, done in enumerate(outcomes):
             if done is None:
                 outcomes[index] = _subtree_job(

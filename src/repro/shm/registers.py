@@ -101,33 +101,6 @@ class SharedArray:
         self.snapshot_count += 1
         return tuple(zip(self._cells, self._versions))
 
-    def clone(self) -> "SharedArray":
-        """Independent copy of this array (cells, versions and counters).
-
-        Cell *values* are shared by reference: the model's algorithms treat
-        written values as immutable (tuples, ints, identities), so a shallow
-        copy of the cell list suffices and keeps forking cheap.
-        """
-        dup = SharedArray.__new__(SharedArray)
-        dup.name = self.name
-        dup.n = self.n
-        dup.multi_writer = self.multi_writer
-        dup._cells = list(self._cells)
-        dup._versions = list(self._versions)
-        dup.write_count = self.write_count
-        dup.read_count = self.read_count
-        dup.snapshot_count = self.snapshot_count
-        return dup
-
-    def state_key(self) -> tuple:
-        """Hashable signature of the observable array state.
-
-        Versions are included because :meth:`versioned_snapshot` exposes
-        them to algorithms; operation counters are observability-only and
-        deliberately excluded.
-        """
-        return (self.name, tuple(self._cells), tuple(self._versions))
-
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.n:
             raise IndexError(
@@ -171,19 +144,6 @@ class SharedMemory:
 
     def names(self) -> Iterable[str]:
         return self._arrays.keys()
-
-    def clone(self) -> "SharedMemory":
-        """Independent copy of the whole memory (see :meth:`SharedArray.clone`)."""
-        dup = SharedMemory.__new__(SharedMemory)
-        dup.n = self.n
-        dup._arrays = {name: array.clone() for name, array in self._arrays.items()}
-        return dup
-
-    def state_key(self) -> tuple:
-        """Hashable signature of all array contents, in name order."""
-        return tuple(
-            self._arrays[name].state_key() for name in sorted(self._arrays)
-        )
 
     def total_operations(self) -> dict[str, int]:
         """Aggregate operation counters across arrays (for benchmarks)."""

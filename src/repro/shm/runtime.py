@@ -15,7 +15,6 @@ the next resumption, and *decide* by returning a value (``return v`` /
 
 from __future__ import annotations
 
-from copy import deepcopy as _deepcopy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable, Mapping, Protocol, Sequence
 
@@ -224,11 +223,6 @@ class Runtime:
 
         self._generators: list[Generator[Op, Any, Any] | None] = []
         self._pending_op: list[Op | None] = [None] * n
-        # Per-pid log of every operation result fed back to the generator.
-        # Because algorithms are deterministic, this log *is* the generator's
-        # state: fork() rebuilds a generator by replaying it locally, without
-        # touching shared memory.
-        self._sent: list[list[Any]] = [[] for _ in range(n)]
         self.outputs: list[Any] = [None] * n
         self.decided_at: list[int | None] = [None] * n
         self.crashed: set[int] = set()
@@ -303,110 +297,12 @@ class Runtime:
             if first:
                 op = next(generator)
             else:
-                self._sent[pid].append(send_value)
                 op = generator.send(send_value)
         except StopIteration as stop:
             self._decide(pid, stop.value)
             self._pending_op[pid] = None
             return
         self._pending_op[pid] = op
-
-    def fork(self) -> "Runtime":
-        """Independent copy of this mid-run state (the exploration primitive).
-
-        Shared memory and oracle objects are cloned directly; generator
-        state — which cannot be copied — is rebuilt by replaying each live
-        process's logged operation *results* into a fresh generator.  The
-        replay runs only free local computation (no shared-memory ops are
-        re-executed), so a fork costs O(steps so far) generator resumptions
-        plus an O(memory) copy, instead of the full re-execution the legacy
-        explorer pays per prefix.
-
-        Requires the model's determinism discipline: an algorithm's behaviour
-        must be a function of its context and the results it received.  A
-        divergence between the replayed and original pending operation is
-        detected and raised as :class:`ProtocolError`.
-        """
-        dup = Runtime.__new__(Runtime)
-        dup.n = self.n
-        dup.algorithm = self.algorithm
-        dup.identities = self.identities
-        # Schedulers are stateful adversaries (rng streams, list cursors,
-        # pending crash maps): sharing one by reference would leak every
-        # action the original takes into the clone's future schedule.
-        # Clone them like oracles: a clone() hook when offered, deepcopy
-        # otherwise.
-        clone = getattr(self.scheduler, "clone", None)
-        dup.scheduler = clone() if callable(clone) else _deepcopy(self.scheduler)
-        dup.memory = self.memory.clone()
-        dup.objects = {
-            name: obj.clone() if hasattr(obj, "clone") else _deepcopy(obj)
-            for name, obj in self.objects.items()
-        }
-        dup.max_steps = self.max_steps
-        dup.record_trace = self.record_trace
-        dup.outputs = list(self.outputs)
-        dup.decided_at = list(self.decided_at)
-        dup.crashed = set(self.crashed)
-        dup.trace = list(self.trace)
-        dup.step_count = self.step_count
-        dup.per_pid_steps = list(self.per_pid_steps)
-        dup._pending_op = list(self._pending_op)
-        dup._sent = [list(history) for history in self._sent]
-        dup._generators = []
-        for pid in range(self.n):
-            if self._generators[pid] is None:
-                dup._generators.append(None)
-                continue
-            ctx = ProcessContext(pid=pid, identity=self.identities[pid], n=self.n)
-            generator = self.algorithm(ctx)
-            try:
-                op = next(generator)
-                for value in self._sent[pid]:
-                    op = generator.send(value)
-            except StopIteration:
-                raise ProtocolError(
-                    f"process {pid} is not deterministic: replaying its "
-                    "result log ended in a decision instead of the pending op"
-                ) from None
-            if op != self._pending_op[pid]:
-                raise ProtocolError(
-                    f"process {pid} is not deterministic: replay produced "
-                    f"{op!r}, original pending op is {self._pending_op[pid]!r}"
-                )
-            dup._generators.append(generator)
-        return dup
-
-    def state_key(self) -> tuple | None:
-        """Hashable signature of the global state, or None when unavailable.
-
-        Two runtimes with equal keys are in the same global state: the same
-        memory contents, the same decisions/crashes, and — because
-        algorithms are deterministic — the same local state for every live
-        process (captured by its result log).  Exploration uses this to
-        memoize subtree outcomes across interleavings that commute into the
-        same state.  Returns None when some shared object does not expose
-        ``state_key()``, which disables memoization for the run.
-        """
-        object_keys = []
-        for name in sorted(self.objects):
-            obj = self.objects[name]
-            if not hasattr(obj, "state_key"):
-                return None
-            object_keys.append((name, obj.state_key()))
-        # Live processes are keyed by their result log (which determines
-        # their generator state); decided/crashed processes never step
-        # again, so only their outcome matters — keying them by history
-        # would split behaviourally identical states and cost memo hits.
-        per_pid = tuple(
-            ("live", tuple(freeze_value(v) for v in self._sent[pid]))
-            if self._generators[pid] is not None
-            else ("crashed",)
-            if pid in self.crashed
-            else ("decided", freeze_value(self.outputs[pid]))
-            for pid in range(self.n)
-        )
-        return (per_pid, self.memory.state_key(), tuple(object_keys))
 
     def result(self) -> RunResult:
         return RunResult(

@@ -432,3 +432,67 @@ class TestScheduledRuns:
         second = fork.run()
         assert first.outputs == second.outputs
         assert first.steps == second.steps
+
+
+class TestForkSchedulerIsolation:
+    """fork() must clone the scheduler, not share it by reference: a
+    shared adversary would leak mutated state (rng streams, list cursors,
+    pending crash maps) between the original and the clone."""
+
+    def test_fork_clones_random_scheduler_stream(self):
+        from repro.shm import RandomScheduler
+
+        def chatty(ctx):
+            for index in range(6):
+                yield Write("A", (ctx.identity, index))
+                yield Snapshot("A")
+            return ctx.identity
+
+        program = compile_protocol(chatty, [1, 2, 3], arrays={"A": None})
+        machine = program.machine(
+            scheduler=RandomScheduler(seed=5), record_trace=True
+        )
+        machine.step(0)
+        fork = machine.fork()
+        first = machine.run()
+        second = fork.run()
+        # Identical rng state at fork time => identical schedules after.
+        assert first.schedule() == second.schedule()
+
+    def test_fork_clones_crash_scheduler_pending_map(self):
+        from repro.shm import CrashScheduler
+
+        program = make_program(2)
+        machine = program.machine(
+            scheduler=CrashScheduler(RoundRobinScheduler(), {1: 1})
+        )
+        fork = machine.fork()
+        first = machine.run()  # consumes the pending crash entry
+        second = fork.run()  # the clone must still crash pid 1 at step 1
+        assert first.crashed == second.crashed == {1}
+
+    def test_fork_honours_scheduler_clone_hook(self):
+        class HookScheduler:
+            def __init__(self):
+                self.cloned = 0
+
+            def clone(self):
+                dup = HookScheduler()
+                dup.cloned = self.cloned + 1
+                return dup
+
+            def next_action(self, state):
+                from repro.shm import StepAction, StopAction
+
+                return (
+                    StepAction(min(state.enabled))
+                    if state.enabled
+                    else StopAction()
+                )
+
+        program = make_program(2)
+        machine = program.machine(scheduler=HookScheduler())
+        fork = machine.fork()
+        assert fork.scheduler is not machine.scheduler
+        assert fork.scheduler.cloned == 1
+        assert fork.run().outputs == machine.run().outputs

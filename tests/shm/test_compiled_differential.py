@@ -6,14 +6,16 @@ observationally identical on every workload the repository runs.  This
 suite pins that, for every registry spec at n <= 3:
 
 * **multiset identity** — the decided-vector multisets over all
-  interleavings are byte-identical in exact mode (``runs()``: same runs,
-  same lexicographic order) and in memoized mode (``decided_vectors``);
+  interleavings equal the legacy re-execution explorer's
+  (:func:`repro.shm.explore.legacy_explore_interleavings` on the generator
+  runtime), both for every materialized run (``runs()``: same runs, same
+  lexicographic order) and for the memoized count (``decided_vectors``);
 * **schedule identity** — under random schedules and random crash
   patterns, both runtimes produce the same outputs, decision steps,
   crash sets and step counts;
 * **fork identity** — forking at *every* depth of a reference schedule
   and completing both the original and the fork deterministically gives
-  identical results on both cores.
+  the same results as a fresh generator run of the same schedule.
 """
 
 import random
@@ -31,7 +33,9 @@ from repro.shm import (
     make_spec_machine,
     make_spec_runtime,
 )
-from repro.shm.runtime import Runtime, freeze_value
+from repro.shm.runtime import freeze_value
+
+from .legacy_oracle import legacy_runs, legacy_vectors
 
 ALL_SPECS = sorted(available_specs())
 SIZES = (2, 3)
@@ -67,28 +71,23 @@ def observables(result):
 class TestMultisetIdentity:
     @pytest.mark.parametrize("name,n", CASES)
     def test_exact_mode_same_runs_same_order(self, name, n):
-        make_runtime, make_machine = spec_pair(name, n)
-        generator_runs = [
-            tuple(freeze_value(v) for v in result.outputs)
-            for result in PrefixSharingEngine(make_runtime).runs()
-        ]
-        compiled_runs = [
+        _, make_machine = spec_pair(name, n)
+        compiled_runs = tuple(
             tuple(freeze_value(v) for v in result.outputs)
             for result in PrefixSharingEngine(make_machine).runs()
-        ]
-        assert compiled_runs == generator_runs
+        )
+        assert compiled_runs == legacy_runs(name, n)
 
     @pytest.mark.parametrize("name,n", CASES)
-    @pytest.mark.parametrize("memoize", [False, True])
-    def test_decided_vector_multisets_identical(self, name, n, memoize):
-        make_runtime, make_machine = spec_pair(name, n)
-        generator = PrefixSharingEngine(make_runtime).decided_vectors(
-            memoize=memoize
+    @pytest.mark.parametrize("frame_nodes", [False, True])
+    def test_decided_vector_multisets_identical(self, name, n, frame_nodes):
+        # Both step-table layouts: history-keyed nodes, and nodes merged
+        # by local state (the layout the parallel and batch paths use).
+        make_machine = make_spec_machine(
+            get_spec(name), n, frame_nodes=frame_nodes
         )
-        compiled = PrefixSharingEngine(make_machine).decided_vectors(
-            memoize=memoize
-        )
-        assert compiled == generator
+        compiled = PrefixSharingEngine(make_machine).decided_vectors()
+        assert compiled == legacy_vectors(name, n)
 
     @pytest.mark.parametrize("name,n", CASES)
     def test_memoized_equals_exact_on_compiled_core(self, name, n):
@@ -156,36 +155,36 @@ class TestForkIdentity:
             reference.step(pid)
             schedule.append(pid)
         for depth in range(len(schedule) + 1):
-            runtime = make_runtime()
             machine = make_machine()
             for pid in schedule[:depth]:
-                runtime.step(pid)
                 machine.step(pid)
-            runtime_fork = runtime.fork()
             machine_fork = machine.fork()
-            # Complete originals and forks with the same deterministic
-            # continuation (lowest enabled pid first).
-            for branch_pair in ((runtime, machine), (runtime_fork, machine_fork)):
-                generator_side, compiled_side = branch_pair
-                while generator_side.enabled_pids():
-                    pid = min(generator_side.enabled_pids())
-                    generator_side.step(pid)
+            # Complete the original, the fork and a fresh generator replay
+            # of the prefix with the same deterministic continuation
+            # (lowest enabled pid first).
+            for compiled_side in (machine, machine_fork):
+                runtime = make_runtime()
+                for pid in schedule[:depth]:
+                    runtime.step(pid)
+                while runtime.enabled_pids():
+                    pid = min(runtime.enabled_pids())
+                    runtime.step(pid)
                     compiled_side.step(pid)
-                assert observables(generator_side.result()) == observables(
+                assert observables(runtime.result()) == observables(
                     compiled_side.result()
                 ), (name, n, depth)
 
     @pytest.mark.parametrize("name,n", CASES)
     def test_forks_inherit_identical_state_evolution(self, name, n):
-        # Fork mid-run on both cores, diverge the fork, and check the
-        # originals were not perturbed (no shared mutable state).
+        # Fork mid-run, diverge the fork, and check the original was not
+        # perturbed (no shared mutable state): it must still match an
+        # unforked generator run of the same schedule.
         make_runtime, make_machine = spec_pair(name, n)
         runtime, machine = make_runtime(), make_machine()
         runtime.step(0)
         machine.step(0)
-        runtime_fork, machine_fork = runtime.fork(), machine.fork()
-        if 1 in runtime_fork.enabled_pids():
-            runtime_fork.step(1)
+        machine_fork = machine.fork()
+        if 1 in machine_fork.enabled_pids():
             machine_fork.step(1)
         while runtime.enabled_pids():
             pid = min(runtime.enabled_pids())

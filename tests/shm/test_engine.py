@@ -2,13 +2,11 @@
 
 The load-bearing property is *equivalence*: for every named workload the
 engine must produce exactly the multiset of decided output vectors the
-legacy re-execution explorer produces, in exact mode even in the same
-order.  On top of that: budget semantics, memoization actually pruning,
-symmetry canonicalization of participant subsets, runtime forking, and the
-batch API.
+legacy re-execution explorer produces, when materializing every run even
+in the same order.  On top of that: budget semantics, memoization actually
+pruning, symmetry canonicalization of participant subsets, and the batch
+API.
 """
-
-from collections import Counter
 
 import pytest
 
@@ -22,16 +20,20 @@ from repro.shm import (
     Write,
     available_specs,
     canonical_participant_classes,
+    compile_protocol,
     count_interleavings,
     explore_decided_subsets,
     explore_interleavings,
     explore_many,
     explore_one,
     get_spec,
+    legacy_explore_interleavings,
+    make_spec_machine,
     order_isomorphism_class,
 )
-from repro.shm.engine import make_spec_runtime
-from repro.shm.explore import _legacy_explore_interleavings
+from repro.shm.engine import decision_summary
+
+from .legacy_oracle import legacy_runs, legacy_vectors
 
 NAMED_SPECS = ("wsb", "election", "renaming", "wsb-grh")
 
@@ -43,6 +45,8 @@ def write_then_snapshot(ctx):
 
 
 def make_runtime_factory(n, algorithm=write_then_snapshot):
+    """Generator-runtime factory: what the legacy explorer runs."""
+
     def factory():
         return Runtime(
             algorithm,
@@ -54,84 +58,43 @@ def make_runtime_factory(n, algorithm=write_then_snapshot):
     return factory
 
 
-class TestRuntimeFork:
-    def test_fork_is_independent(self):
-        runtime = make_runtime_factory(3)()
-        runtime.step(0)
-        fork = runtime.fork()
-        assert fork.state_key() == runtime.state_key()
-        fork.step(1)
-        runtime.step(0)
-        assert fork.state_key() != runtime.state_key()
-        # The original decided from a solo view; the fork saw both writes.
-        assert runtime.outputs[0] == (1, None, None)
-        assert fork.outputs[0] is None
+def make_machine_factory(n, algorithm=write_then_snapshot):
+    """Compiled-core factory for the same system: what the engine runs."""
+    program = compile_protocol(
+        algorithm, list(range(1, n + 1)), arrays={"A": None}
+    )
 
-    def test_fork_preserves_oracle_commitment(self):
-        factory = make_spec_runtime(get_spec("renaming"), 3)
-        runtime = factory()
-        runtime.step(0)
-        fork = runtime.fork()
-        for pid in (1, 2):
-            runtime.step(pid)
-            fork.step(pid)
-        assert runtime.state_key() == fork.state_key()
+    def factory():
+        return program.machine(record_trace=True)
 
-    def test_fork_rejects_nondeterminism(self):
-        import random
-
-        rng = random.Random(0)
-
-        def flaky(ctx):
-            if rng.random() < 0.5:
-                yield Nop()
-            yield Write("A", ctx.identity)
-            return 1
-
-        from repro.shm import ProtocolError
-
-        # Keep forking until the replay diverges from the original run.
-        with pytest.raises(ProtocolError, match="not deterministic"):
-            for _ in range(64):
-                runtime = make_runtime_factory(2, flaky)()
-                runtime.step(0)
-                runtime.fork()
+    return factory
 
 
-# The legacy explorer needs ~11 s for wsb-grh at n=3 (that slowness is the
-# engine's raison d'etre), so the direct legacy comparisons cap it at n=2;
-# the ISSUE-named specs run the full n <= 3 equivalence.
-EQUIVALENCE_CASES = [
-    (name, n)
-    for name in NAMED_SPECS
-    for n in (2, 3)
-    if not (name == "wsb-grh" and n == 3)
-]
+# Every registry spec at n <= 3, wsb-grh n=3 included: the legacy
+# multisets are computed once per session (tests/shm/legacy_oracle.py).
+EQUIVALENCE_CASES = [(name, n) for name in NAMED_SPECS for n in (2, 3)]
 
 
 class TestEquivalenceWithLegacy:
     @pytest.mark.parametrize("name,n", EQUIVALENCE_CASES)
     def test_exact_mode_matches_legacy_order(self, name, n):
-        factory = make_spec_runtime(get_spec(name), n)
-        legacy = [
-            tuple(result.outputs)
-            for result in _legacy_explore_interleavings(factory)
-        ]
-        engine = [
-            tuple(result.outputs)
-            for result in explore_interleavings(factory, engine=True)
-        ]
-        assert engine == legacy  # same runs, same lexicographic order
+        factory = make_spec_machine(get_spec(name), n)
+        engine = tuple(
+            tuple(result.outputs) for result in explore_interleavings(factory)
+        )
+        assert engine == legacy_runs(name, n)  # same runs, same order
 
     @pytest.mark.parametrize("name,n", EQUIVALENCE_CASES)
     def test_memoized_counts_match_legacy_multiset(self, name, n):
-        factory = make_spec_runtime(get_spec(name), n)
-        legacy = Counter(
-            tuple(result.outputs)
-            for result in _legacy_explore_interleavings(factory)
+        engine = PrefixSharingEngine(make_spec_machine(get_spec(name), n))
+        assert engine.decided_vectors() == legacy_vectors(name, n)
+
+    @pytest.mark.parametrize("name,n", EQUIVALENCE_CASES)
+    def test_explore_one_matches_legacy_summary(self, name, n):
+        result = explore_one(name, n)
+        assert (result.runs, result.distinct, result.violations) == (
+            decision_summary(get_spec(name), n, legacy_vectors(name, n))
         )
-        engine = PrefixSharingEngine(factory)
-        assert engine.decided_vectors(memoize=True) == legacy
 
     def test_memoization_preserves_counts(self):
         # Two processes, two commuting no-ops each: states merge heavily,
@@ -141,37 +104,43 @@ class TestEquivalenceWithLegacy:
             yield Nop()
             return 1
 
-        factory = make_runtime_factory(2, two_nops)
-        engine = PrefixSharingEngine(factory)
+        engine = PrefixSharingEngine(make_machine_factory(2, two_nops))
         decisions = engine.decided_vectors()
         assert sum(decisions.values()) == count_interleavings([2, 2])
-        assert engine.stats.memo_hits > 0
+        assert engine.stats.orbit_hits > 0
         assert engine.stats.runs < count_interleavings([2, 2])
 
     def test_schedules_and_traces_survive_forking(self):
-        factory = make_runtime_factory(2)
         legacy = {
             tuple(result.schedule())
-            for result in _legacy_explore_interleavings(factory)
+            for result in legacy_explore_interleavings(make_runtime_factory(2))
         }
         engine = {
             tuple(result.schedule())
-            for result in explore_interleavings(factory)
+            for result in explore_interleavings(make_machine_factory(2))
         }
-        assert engine == legacy == set(map(tuple, legacy))
+        assert engine == legacy
         assert len(legacy) == count_interleavings([2, 2])
+
+    def test_generator_runtime_is_rejected(self):
+        # The engine explores compiled machines only; the generator
+        # runtime is the legacy explorer's reference semantics.
+        with pytest.raises(TypeError, match="legacy_explore_interleavings"):
+            PrefixSharingEngine(make_runtime_factory(2)).decided_vectors()
+        with pytest.raises(TypeError, match="not a compiled-core machine"):
+            list(explore_interleavings(make_runtime_factory(2)))
 
 
 class TestBudgets:
     def test_max_runs_enforced(self):
         with pytest.raises(ExplorationBudgetExceeded):
-            list(explore_interleavings(make_runtime_factory(3), max_runs=5))
+            list(explore_interleavings(make_machine_factory(3), max_runs=5))
 
     def test_max_runs_yields_exactly_budget_before_raising(self):
         produced = []
         with pytest.raises(ExplorationBudgetExceeded):
             for result in explore_interleavings(
-                make_runtime_factory(2), max_runs=3
+                make_machine_factory(2), max_runs=3
             ):
                 produced.append(result)
         assert len(produced) == 3  # same semantics as the legacy explorer
@@ -184,14 +153,25 @@ class TestBudgets:
         with pytest.raises(ExplorationBudgetExceeded, match="non-terminating"):
             list(
                 explore_interleavings(
-                    make_runtime_factory(1, spinner), max_depth=20
+                    make_machine_factory(1, spinner), max_depth=20
                 )
             )
 
     def test_decided_vectors_budgets(self):
-        engine = PrefixSharingEngine(make_runtime_factory(3), max_runs=5)
+        # The budget bounds materialized leaves: exactly what one
+        # unbudgeted exploration visits fits, one fewer does not.
+        visited = PrefixSharingEngine(make_machine_factory(3))
+        visited.decided_vectors()
+        leaves = visited.stats.runs
+        assert leaves > 1
+        PrefixSharingEngine(
+            make_machine_factory(3), max_runs=leaves
+        ).decided_vectors()
+        engine = PrefixSharingEngine(
+            make_machine_factory(3), max_runs=leaves - 1
+        )
         with pytest.raises(ExplorationBudgetExceeded):
-            engine.decided_vectors(memoize=False)
+            engine.decided_vectors()
 
     def test_engine_fits_budget_legacy_cannot(self):
         # The acceptance claim in miniature: with the same run budget the
@@ -202,15 +182,18 @@ class TestBudgets:
                 yield Nop()
             return 1
 
-        factory = make_runtime_factory(3, three_nops)
         total = count_interleavings([3, 3, 3])  # 1680
         budget = 500
         with pytest.raises(ExplorationBudgetExceeded):
             list(
-                _legacy_explore_interleavings(factory, max_runs=budget)
+                legacy_explore_interleavings(
+                    make_runtime_factory(3, three_nops), max_runs=budget
+                )
             )
-        engine = PrefixSharingEngine(factory, max_runs=budget)
-        decisions = engine.decided_vectors(memoize=True)
+        engine = PrefixSharingEngine(
+            make_machine_factory(3, three_nops), max_runs=budget
+        )
+        decisions = engine.decided_vectors()
         assert sum(decisions.values()) == total  # completed under budget
 
 
@@ -232,7 +215,7 @@ class TestSymmetryCanonicalization:
 
     @pytest.mark.parametrize("name", NAMED_SPECS)
     def test_subset_profiles_match_full_enumeration(self, name):
-        factory = make_spec_runtime(get_spec(name), 3)
+        factory = make_spec_machine(get_spec(name), 3, frame_nodes=True)
         full = explore_decided_subsets(factory, assume_symmetric=False)
         pruned = explore_decided_subsets(factory, assume_symmetric=True)
         assert pruned.value_multisets() == full.value_multisets()
@@ -312,65 +295,6 @@ class TestBatchAPI:
         assert [(r.name, r.n, r.runs, r.distinct) for r in serial] == [
             (r.name, r.n, r.runs, r.distinct) for r in parallel
         ]
-
-
-class TestRuntimeCores:
-    """The engine is core-polymorphic; explore_one routes by name."""
-
-    @pytest.mark.parametrize("name,n", [(s, n) for s in NAMED_SPECS for n in (2, 3)])
-    def test_cores_agree(self, name, n):
-        compiled = explore_one(name, n, core="compiled")
-        generator = explore_one(name, n, core="generator")
-        assert (compiled.runs, compiled.distinct, compiled.violations) == (
-            generator.runs, generator.distinct, generator.violations
-        )
-        assert compiled.core == "compiled"
-        assert generator.core == "generator"
-
-    def test_unknown_core_rejected(self):
-        with pytest.raises(ValueError, match="unknown runtime core"):
-            explore_one("wsb", 2, core="quantum")
-        with pytest.raises(ValueError, match="unknown runtime core"):
-            explore_many(["wsb"], [2], core="quantum")
-
-    def test_exhaustive_check_cores_agree(self):
-        from repro.algorithms import (
-            figure2_renaming,
-            figure2_system_factory,
-            figure2_task,
-        )
-        from repro.shm import check_algorithm_exhaustive
-
-        compiled = check_algorithm_exhaustive(
-            figure2_task(3),
-            figure2_renaming(),
-            3,
-            system_factory=figure2_system_factory(3, seed=0),
-            core="compiled",
-        )
-        generator = check_algorithm_exhaustive(
-            figure2_task(3),
-            figure2_renaming(),
-            3,
-            system_factory=figure2_system_factory(3, seed=0),
-            core="generator",
-        )
-        assert compiled.ok and generator.ok
-        assert compiled.runs == generator.runs
-
-    def test_exhaustive_check_unknown_core(self):
-        from repro.core.named import weak_symmetry_breaking
-        from repro.shm import check_algorithm_exhaustive
-
-        spec = get_spec("wsb")
-        with pytest.raises(ValueError, match="unknown runtime core"):
-            check_algorithm_exhaustive(
-                weak_symmetry_breaking(2),
-                spec.algorithm_factory(2),
-                2,
-                system_factory=spec.system_factory(2),
-                core="quantum",
-            )
 
 
 class TestLoudPoolFallback:

@@ -5,10 +5,9 @@ import pytest
 from repro.shm import (
     ExplorationBudgetExceeded,
     Nop,
-    RoundRobinScheduler,
-    Runtime,
     Snapshot,
     Write,
+    compile_protocol,
     count_interleavings,
     explore_all_participant_subsets,
     explore_interleavings,
@@ -22,13 +21,12 @@ def write_then_snapshot(ctx):
 
 
 def make_runtime_factory(n, algorithm=write_then_snapshot):
+    program = compile_protocol(
+        algorithm, list(range(1, n + 1)), arrays={"A": None}
+    )
+
     def factory():
-        return Runtime(
-            algorithm,
-            list(range(1, n + 1)),
-            RoundRobinScheduler(),
-            arrays={"A": None},
-        )
+        return program.machine(record_trace=True)
 
     return factory
 

@@ -1,5 +1,7 @@
 """Unit tests for the task-validation harness."""
 
+import pytest
+
 from repro.core import renaming, weak_symmetry_breaking
 from repro.shm import (
     GSBOracle,
@@ -7,14 +9,27 @@ from repro.shm import (
     ListScheduler,
     Nop,
     RunResult,
+    available_specs,
+    canonical_participant_classes,
     check_algorithm,
     check_algorithm_exhaustive,
     check_comparison_based,
     check_index_independence,
+    get_spec,
     run_algorithm,
     validate_run,
 )
+from repro.shm.engine import decision_summary
 from repro.algorithms import decision_only, identity_renaming_algorithm
+
+from .legacy_oracle import all_subsets, legacy_vectors
+
+REGISTRY_CASES = [
+    (name, n)
+    for name in sorted(available_specs())
+    for n in (2, 3)
+    if n >= get_spec(name).min_n
+]
 
 
 class TestValidateRun:
@@ -145,6 +160,38 @@ class TestExhaustive:
             weak_symmetry_breaking(2), decision_only(lambda ctx: 2), 2
         )
         assert not report.ok
+
+
+class TestExhaustiveMatchesLegacy:
+    """The harness's compiled exploration covers exactly the runs of the
+    legacy re-execution explorer, subset by subset."""
+
+    @pytest.mark.parametrize("name,n", REGISTRY_CASES)
+    @pytest.mark.parametrize("canonical", [False, True])
+    def test_registry_spec_against_legacy(self, name, n, canonical):
+        spec = get_spec(name)
+        report = check_algorithm_exhaustive(
+            spec.task_factory(n),
+            spec.algorithm_factory(n),
+            n,
+            system_factory=spec.system_factory(n),
+            max_runs=None,
+            canonical_subsets=canonical,
+        )
+        illegal = decision_summary(spec, n, legacy_vectors(name, n))[2]
+        # A spec the legacy explorer refutes must fail the harness too
+        # (which then stops early, so its run count is partial).
+        assert report.ok == (illegal == 0), report
+        if report.ok:
+            subsets = (
+                [subset for subset, _ in canonical_participant_classes(n, 1)]
+                if canonical
+                else all_subsets(n)
+            )
+            assert report.runs == sum(
+                sum(legacy_vectors(name, n, subset).values())
+                for subset in subsets
+            )
 
 
 class TestMetamorphic:

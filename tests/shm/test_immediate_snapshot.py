@@ -9,8 +9,8 @@ from repro.shm import (
     immediate_snapshot,
     run_algorithm,
 )
+from repro.shm.compiled import compile_protocol
 from repro.shm.explore import explore_all_participant_subsets
-from repro.shm.runtime import Runtime
 
 
 def is_algorithm(ctx):
@@ -62,10 +62,8 @@ class TestProperties:
         assert dict(result.outputs[0]) == {0: 5, 1: 3}
 
     def test_exhaustive_small(self):
-        def factory():
-            return Runtime(
-                is_algorithm, [5, 3], RoundRobinScheduler(), arrays={"IS": None}
-            )
+        program = compile_protocol(is_algorithm, [5, 3], arrays={"IS": None})
+        factory = program.machine
 
         total = 0
         for _participants, result in explore_all_participant_subsets(

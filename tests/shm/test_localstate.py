@@ -11,6 +11,14 @@ import sys
 
 import pytest
 
+from repro.core.cache_config import cache_stats
+from repro.shm import (
+    CompiledProtocol,
+    Snapshot,
+    available_specs,
+    explore_one,
+    get_spec,
+)
 from repro.shm.localstate import (
     UNBOUND,
     code_token,
@@ -165,3 +173,36 @@ class TestGeneratorSignature:
         # freeze_value freezes dicts/lists; an identity "freeze" that
         # returns the raw unhashable must be rejected at the hash check.
         assert generator_signature(gen, lambda value: value) is None
+
+
+def frame_bails():
+    return cache_stats()["engine.step_tables"]["frame_bails"]
+
+
+class TestFrameBailCounter:
+    """A bail (the analysis refusing a state) silently keeps that state a
+    history-trie node, costing the quotient its merges; the step-table
+    counters must make every bail visible."""
+
+    def test_bail_is_counted(self):
+        def snapshots_mid_expression(ctx):
+            total = len((yield Snapshot("A"))) + len((yield Snapshot("A")))
+            return total
+
+        program = CompiledProtocol(
+            snapshots_mid_expression, [1], arrays={"A": None},
+            frame_nodes=True,
+        )
+        before = frame_bails()
+        machine = program.machine()
+        while machine.enabled_pids():
+            machine.step(0)
+        assert frame_bails() > before
+
+    @pre_314
+    @pytest.mark.parametrize("name", sorted(available_specs()))
+    def test_registry_specs_never_bail(self, name):
+        before = frame_bails()
+        for n in range(get_spec(name).min_n, 5):
+            explore_one(name, n)
+        assert frame_bails() == before

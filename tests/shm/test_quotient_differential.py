@@ -1,15 +1,16 @@
 """Differential + property suite for the value-symmetry orbit quotient.
 
-The quotient (:meth:`PrefixSharingEngine.decided_vectors` with
-``quotient=True``) memoizes over orbit keys — decided outputs factored
-out, oracle arrival order collapsed to the acquired mask, and (for specs
+The quotient (:meth:`PrefixSharingEngine.decided_vectors`, the engine's
+only memo mode) memoizes over orbit keys — decided outputs factored out,
+oracle arrival order collapsed to the acquired mask, and (for specs
 declaring interchangeable oracle values) written-but-undecided values
-canonically relabeled.  All of that is aggressive; the generator runtime
-is the reference semantics, so this suite pins:
+canonically relabeled.  All of that is aggressive; the legacy
+re-execution explorer over the generator runtime (the model's reference
+semantics) is the oracle, so this suite pins:
 
 * **multiset identity** — for every registry spec at n <= 3, the
-  quotiented decided-vector Counter is byte-identical to the generator
-  reference (serial, sharded-serial, and subset-profile paths);
+  quotiented decided-vector Counter is byte-identical to the legacy
+  explorer's (serial, sharded, proper-subset and all-subset paths);
 * **probe fidelity** — :meth:`MachineState.probe_step`'s predicted orbit
   key and decided value match a real fork + step at every reachable
   state of a bounded walk;
@@ -20,9 +21,6 @@ is the reference semantics, so this suite pins:
   :class:`~repro.shm.engine.EngineStats` and merge across shards.
 """
 
-import itertools
-from collections import Counter
-
 import pytest
 
 from repro.shm import (
@@ -30,16 +28,12 @@ from repro.shm import (
     available_specs,
     get_spec,
     make_spec_machine,
-    make_spec_runtime,
 )
 from repro.shm.compiled import ValueCanonicalizer
-from repro.shm.engine import (
-    EngineStats,
-    explore_decided_subsets,
-    explore_one,
-    spec_factory,
-)
+from repro.shm.engine import EngineStats, explore_decided_subsets
 from repro.shm.parallel import explore_decided_parallel
+
+from .legacy_oracle import all_subsets, legacy_vectors
 
 ALL_SPECS = sorted(available_specs())
 CASES = [
@@ -50,30 +44,22 @@ CASES = [
 ]
 
 
-def reference_vectors(name, n, participants=None):
-    return PrefixSharingEngine(
-        make_spec_runtime(get_spec(name), n), participants=participants
-    ).decided_vectors()
-
-
-def quotient_engine(name, n, participants=None, stats=None, **kwargs):
+def quotient_engine(name, n, participants=None, stats=None):
     spec = get_spec(name)
     return PrefixSharingEngine(
-        spec_factory(spec, n, quotient=True),
+        make_spec_machine(spec, n, frame_nodes=True),
         participants=participants,
         stats=stats,
-        quotient=True,
         relabeler=spec.value_relabel,
-        **kwargs,
     )
 
 
 class TestQuotientMultisetIdentity:
     @pytest.mark.parametrize("name,n", CASES)
-    def test_serial_quotient_matches_generator_reference(self, name, n):
+    def test_serial_quotient_matches_legacy_reference(self, name, n):
         stats = EngineStats()
         quotiented = quotient_engine(name, n, stats=stats).decided_vectors()
-        assert quotiented == reference_vectors(name, n)
+        assert quotiented == legacy_vectors(name, n)
         assert stats.orbits > 0
         if n >= 3:
             # Exhaustive exploration of >= 3 processes always revisits
@@ -82,32 +68,19 @@ class TestQuotientMultisetIdentity:
             assert stats.orbit_hits + stats.lex_pruned > 0
 
     @pytest.mark.parametrize("name,n", CASES)
-    def test_quotient_matches_exact_engine_mode(self, name, n):
-        spec = get_spec(name)
-        exact = PrefixSharingEngine(
-            spec_factory(spec, n)
-        ).decided_vectors(memoize=False)
-        assert quotient_engine(name, n).decided_vectors() == exact
-
-    @pytest.mark.parametrize("name,n", CASES)
-    def test_explore_one_quotient_flag(self, name, n):
-        on = explore_one(name, n, quotient=True)
-        off = explore_one(name, n, quotient=False)
-        assert on.quotient and not off.quotient
-        assert (on.runs, on.distinct, on.violations) == (
-            off.runs,
-            off.distinct,
-            off.violations,
-        )
-        assert on.stats.orbits > 0 and off.stats.orbits == 0
-
-    @pytest.mark.parametrize("name,n", CASES)
     def test_proper_subset_participants(self, name, n):
         participants = tuple(range(n - 1)) or (0,)
         quotiented = quotient_engine(
             name, n, participants=participants
         ).decided_vectors()
-        assert quotiented == reference_vectors(name, n, participants)
+        assert quotiented == legacy_vectors(name, n, participants)
+
+    def test_removed_exact_mode_is_rejected(self):
+        factory = make_spec_machine(get_spec("wsb"), 2, frame_nodes=True)
+        with pytest.raises(ValueError, match="exact state-key memo"):
+            PrefixSharingEngine(factory, quotient=False)
+        with pytest.raises(ValueError, match="exact state-key memo"):
+            explore_decided_parallel("wsb", 2, jobs=0, quotient=False)
 
 
 class TestShardedQuotient:
@@ -115,67 +88,53 @@ class TestShardedQuotient:
     def test_serial_shards_share_one_orbit_memo(self, name):
         n = max(3, get_spec(name).min_n)
         stats = EngineStats()
-        outcome = explore_decided_parallel(
-            name, n, jobs=0, quotient=True, stats=stats
-        )
-        assert outcome.decisions == reference_vectors(name, n)
+        outcome = explore_decided_parallel(name, n, jobs=0, stats=stats)
+        assert outcome.decisions == legacy_vectors(name, n)
         assert stats.orbits > 0
         # The shared in-parent memo means later shards hit orbits the
         # earlier shards closed.
         assert stats.orbit_hits + stats.lex_pruned > 0
 
     def test_pooled_shards_match_reference(self):
-        outcome = explore_decided_parallel(
-            "wsb-grh", 3, jobs=2, quotient=True
-        )
-        assert outcome.decisions == reference_vectors("wsb-grh", 3)
+        outcome = explore_decided_parallel("wsb-grh", 3, jobs=2)
+        assert outcome.decisions == legacy_vectors("wsb-grh", 3)
 
     def test_sharded_stats_merge_orbit_counters(self):
         stats = EngineStats()
-        explore_decided_parallel("renaming", 3, jobs=0, quotient=True, stats=stats)
+        explore_decided_parallel("renaming", 3, jobs=0, stats=stats)
         payload = stats.to_json()
         assert payload["orbits"] == stats.orbits > 0
         assert "orbit_hits" in payload and "lex_pruned" in payload
 
 
 class TestSubsetTotals:
-    @pytest.mark.parametrize("name", ALL_SPECS)
-    def test_all_subsets_match_reference(self, name):
+    @pytest.mark.parametrize("name,n", CASES)
+    def test_all_subsets_match_reference(self, name, n):
         spec = get_spec(name)
-        n = max(3, spec.min_n)
         quotiented = explore_decided_subsets(
-            spec_factory(spec, n, quotient=True),
+            make_spec_machine(spec, n, frame_nodes=True),
             assume_symmetric=False,
-            quotient=True,
             value_relabel=spec.value_relabel,
         )
-        reference = explore_decided_subsets(
-            make_spec_runtime(spec, n), assume_symmetric=False
-        )
-        subsets = [
-            subset
-            for size in range(1, n + 1)
-            for subset in itertools.combinations(range(n), size)
-        ]
+        subsets = all_subsets(n)
         assert len(quotiented.by_subset) == len(subsets) == 2**n - 1
         for subset in subsets:
-            assert quotiented.by_subset[subset] == reference.by_subset[subset]
+            assert quotiented.by_subset[subset] == legacy_vectors(
+                name, n, subset
+            ), subset
 
     def test_subset_totals_sum_to_full_sweep(self):
         spec = get_spec("wsb-grh")
         profile = explore_decided_subsets(
-            spec_factory(spec, 3, quotient=True),
+            make_spec_machine(spec, 3, frame_nodes=True),
             assume_symmetric=False,
-            quotient=True,
         )
         total_runs = sum(
             sum(counter.values()) for counter in profile.by_subset.values()
         )
         reference_runs = sum(
-            sum(counter.values())
-            for counter in explore_decided_subsets(
-                make_spec_runtime(spec, 3), assume_symmetric=False
-            ).by_subset.values()
+            sum(legacy_vectors("wsb-grh", 3, subset).values())
+            for subset in all_subsets(3)
         )
         assert total_runs == reference_runs
 

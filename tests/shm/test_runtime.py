@@ -180,82 +180,3 @@ class TestStepControl:
         assert result.trace == []
         assert result.outputs == [2, 2]
 
-
-class TestForkSchedulerIsolation:
-    """Regression: fork() used to share the scheduler object by reference,
-    leaking mutated adversary state (rng streams, list cursors, pending
-    crash maps) between the original and the clone."""
-
-    def test_fork_clones_list_scheduler_cursor(self):
-        from repro.shm import ListScheduler
-
-        runtime = Runtime(
-            write_then_snapshot,
-            [1, 2],
-            ListScheduler([1, 1, 0, 0], then_finish=True),
-            arrays={"A": None},
-        )
-        fork = runtime.fork()
-        first = runtime.run()  # advances the original's scheduler cursor
-        second = fork.run()  # must see the cursor as it was at fork time
-        assert first.schedule() == second.schedule() == [1, 1, 0, 0]
-        assert first.outputs == second.outputs
-
-    def test_fork_clones_random_scheduler_stream(self):
-        from repro.shm import RandomScheduler
-
-        def chatty(ctx):
-            for index in range(6):
-                yield Write("A", (ctx.identity, index))
-                yield Snapshot("A")
-            return ctx.identity
-
-        runtime = Runtime(
-            chatty, [1, 2, 3], RandomScheduler(seed=5), arrays={"A": None}
-        )
-        runtime.step(0)
-        fork = runtime.fork()
-        first = runtime.run()
-        second = fork.run()
-        # Identical rng state at fork time => identical schedules after.
-        assert first.schedule() == second.schedule()
-
-    def test_fork_clones_crash_scheduler_pending_map(self):
-        from repro.shm import CrashScheduler, RoundRobinScheduler
-
-        runtime = Runtime(
-            write_then_snapshot,
-            [1, 2],
-            CrashScheduler(RoundRobinScheduler(), {1: 1}),
-            arrays={"A": None},
-        )
-        fork = runtime.fork()
-        first = runtime.run()  # consumes the pending crash entry
-        second = fork.run()  # the clone must still crash pid 1 at step 1
-        assert first.crashed == second.crashed == {1}
-
-    def test_fork_honours_scheduler_clone_hook(self):
-        class HookScheduler:
-            def __init__(self):
-                self.cloned = 0
-
-            def clone(self):
-                dup = HookScheduler()
-                dup.cloned = self.cloned + 1
-                return dup
-
-            def next_action(self, state):
-                from repro.shm import StepAction, StopAction
-
-                return (
-                    StepAction(min(state.enabled))
-                    if state.enabled
-                    else StopAction()
-                )
-
-        runtime = Runtime(
-            write_then_snapshot, [1, 2], HookScheduler(), arrays={"A": None}
-        )
-        fork = runtime.fork()
-        assert fork.scheduler is not runtime.scheduler
-        assert fork.scheduler.cloned == 1

@@ -20,8 +20,8 @@ from repro.shm import (
     run_algorithm,
     snapshot_array_initial,
 )
+from repro.shm.compiled import compile_protocol
 from repro.shm.explore import explore_interleavings
-from repro.shm.runtime import Runtime
 
 
 def updater_then_scanner(values):
@@ -94,12 +94,8 @@ class TestLinearizability:
     def test_exhaustive_two_process_interleavings(self):
         algo = updater_then_scanner([["a"], ["b"]])
 
-        def factory():
-            return Runtime(
-                algo, [1, 2], RoundRobinScheduler(), arrays=system(2)
-            )
-
-        for run in explore_interleavings(factory):
+        program = compile_protocol(algo, [1, 2], arrays=system(2))
+        for run in explore_interleavings(program.machine):
             scans = [out for out in run.outputs if out is not None]
             assert self._scan_containment_ok(scans)
             # Self-inclusion: a process's own final value appears in its scan.

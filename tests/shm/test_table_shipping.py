@@ -12,7 +12,7 @@ behavioural identity of an imported table.
 
 import pickle
 
-from repro.shm.engine import get_spec, make_spec_machine, spec_factory
+from repro.shm.engine import get_spec, make_spec_machine
 
 
 def traced_factory(name="wsb-grh", n=3, frame_nodes=True):
@@ -68,7 +68,7 @@ class TestExportImport:
         )
         assert importer.program.import_table(table)
         reference = PrefixSharingEngine(
-            spec_factory(get_spec("wsb-grh"), 3)
+            make_spec_machine(get_spec("wsb-grh"), 3)
         ).decided_vectors()
         assert PrefixSharingEngine(importer).decided_vectors() == reference
 

@@ -340,7 +340,7 @@ class TestExploreCommand:
         assert main(["explore", "--tasks", "wsb", "--n", "2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["tasks"] == ["wsb"]
-        assert payload["core"] == "compiled"
+        assert "core" not in payload and "quotient" not in payload
         assert payload["failures"] == 0
         (row,) = payload["results"]
         assert row["name"] == "wsb" and row["n"] == 2
@@ -360,17 +360,43 @@ class TestExploreCommand:
         payload = json.loads(path.read_text())
         assert payload["results"][0]["name"] == "wsb"
 
-    def test_explore_generator_core(self, capsys):
+    def test_explore_compare_legacy_cross_checks(self, capsys):
         assert (
-            main(
-                ["explore", "--tasks", "wsb", "--n", "2",
-                 "--core", "generator", "--json"]
-            )
+            main(["explore", "--tasks", "wsb,renaming", "--n", "3",
+                  "--compare-legacy"])
             == 0
         )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["core"] == "generator"
-        assert payload["results"][0]["core"] == "generator"
+        out = capsys.readouterr().out
+        legacy = out.split("legacy re-execution explorer")[1]
+        assert legacy.count("match") == 2 and "MISMATCH" not in legacy
+
+    def test_explore_compare_legacy_fails_on_mismatch(self, capsys, monkeypatch):
+        # A wrong engine answer must fail the run, not just print timings.
+        import repro.shm.engine as engine_module
+
+        real = engine_module.explore_many
+
+        def off_by_one(*args, **kwargs):
+            results = real(*args, **kwargs)
+            results[0].runs += 1
+            return results
+
+        monkeypatch.setattr(engine_module, "explore_many", off_by_one)
+        assert (
+            main(["explore", "--tasks", "renaming", "--n", "3",
+                  "--compare-legacy"])
+            == 1
+        )
+        captured = capsys.readouterr()
+        assert "MISMATCH" in captured.out
+        assert "error: renaming n=3" in captured.err
+
+    def test_removed_exploration_flags_are_rejected(self, capsys):
+        for flag in (["--core", "generator"], ["--quotient", "off"],
+                     ["--no-memo"]):
+            with pytest.raises(SystemExit):
+                main(["explore", "--tasks", "wsb", "--n", "2", *flag])
+        capsys.readouterr()
 
     def test_explore_subtree_sharding(self, capsys):
         assert (
