@@ -1,7 +1,7 @@
 """Experiment E-DECIDE: the tiered decision pipeline and its caches.
 
 Workload: ``decide()`` cold (all tiers run, a family row is assembled
-for reduction closure) versus certificate-cache-warm (one shard lookup),
+for reduction closure) versus certificate-cache-warm (one store-file row),
 the structural tiers in isolation, a whole close-open sweep over a
 rectangle (empirical search plus reduction-closure propagation), and a
 full certificate replay pass.  The assertions pin the verdicts and the
@@ -44,8 +44,8 @@ def bench_decide_cold(benchmark):
 
 
 def bench_decide_certificate_cache_warm(benchmark, tmp_path):
-    """Warm decide: the verdict comes from the disk-backed cache."""
-    cache = CertificateCache(tmp_path / "cache")
+    """Warm decide: the verdict comes from the store file's cache rows."""
+    cache = CertificateCache(tmp_path / "store")
     pipeline = DecisionPipeline(budget=SMOKE_BUDGET, cache=cache)
     pipeline.decide(4, 5, 0, 1)  # prime
 
@@ -97,7 +97,7 @@ def bench_decide_open_with_evidence(benchmark, tmp_path):
     fresh = itertools.count()
 
     def decide_open():
-        cache = CertificateCache(tmp_path / f"open{next(fresh)}")
+        cache = CertificateCache(tmp_path / f"store{next(fresh)}")
         pipeline = DecisionPipeline(budget=SMOKE_BUDGET, cache=cache)
         return pipeline.decide(4, 3, 0, 2)
 

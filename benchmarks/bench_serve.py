@@ -1,16 +1,11 @@
 """Experiment E-SERVE: the serving layer at query scale.
 
-Workload: the read-optimized store backend and the HTTP query API as a
-client sees them — cold point lookups against JSON shards vs the SQLite
-pack, warm lookups out of the hot-node LRU, in-process service routing,
-and real-socket QPS with keep-alive and ETag revalidation.  The store is
-the full ``--max-n 20 --max-m 6`` rectangle from the paper's decision
-pipeline, packed once per module.
-
-The acceptance bar for the binary backend — a cold point lookup at least
-10x faster than the JSON-shard cold load it replaces — is asserted here
-directly (not just recorded), so a backend regression fails the bench
-run rather than drifting past the baseline tolerance.
+Workload: the universe store and the HTTP query API as a client sees
+them — cold point lookups (one indexed row of the store file), warm
+lookups out of the hot-node LRU, in-process service routing, and
+real-socket QPS with keep-alive and ETag revalidation.  The store is the
+full ``--max-n 20 --max-m 6`` rectangle from the paper's decision
+pipeline, built once per module.
 
 The tail-latency benches record p50/p99 per-request latency — under
 plain concurrency, and under a mid-storm worker SIGKILL against the
@@ -44,91 +39,26 @@ def root(tmp_path_factory):
     root = tmp_path_factory.mktemp("bench-serve") / "store"
     store = UniverseStore(root)
     store.build(MAX_N, MAX_M)
-    store.pack()
     return root
 
 
-def primed_keys(store, key):
-    """Every hot-node LRU key a cold lookup of ``key`` primes.
-
-    Computed once, outside any timed region: the JSON path primes the
-    whole containing cell, the binary path just the requested node.
-    """
-    prefix = (str(store.root), store.fingerprint())
-    if store.active_backend == "binary":
-        return [prefix + key]
-    return [
-        prefix + (key[0], key[1], low, high)
-        for low, high in store._cell_nodes(key[0], key[1])
-    ]
-
-
-def bench_serve_cold_json_point_lookup(benchmark, root):
-    """Cold JSON-shard load: one lookup pays a whole-shard parse."""
-    store = UniverseStore.open_readonly(root, backend="json")
+def bench_serve_cold_point_lookup(benchmark, root):
+    """Cold lookup: one indexed row of the store file."""
+    store = UniverseStore.open_readonly(root)
     key = canonical_task_key(*TASK)
-    keys = primed_keys(store, key)
+    hot_key = (str(store.root), store.fingerprint()) + key
 
     def cold():
-        for entry in keys:
-            HOT_CELLS.pop(entry)
+        HOT_CELLS.pop(hot_key)
         return store.node_at(*TASK)
 
     node = benchmark(cold)
     assert node is not None and node.key == key
 
 
-def bench_serve_cold_binary_point_lookup(benchmark, root):
-    """Cold pack lookup: one indexed SQLite row, no shard parse.
-
-    Asserts the tentpole acceptance criterion in-line: the binary
-    backend's cold point lookup is >= 10x faster than the JSON-shard
-    cold load at the full 20x6 rectangle.
-    """
-    jstore = UniverseStore.open_readonly(root, backend="json")
-    bstore = UniverseStore.open_readonly(root, backend="binary")
-    key = canonical_task_key(*TASK)
-    bstore.node_at(*TASK)  # open the pack before asking for keys
-    assert bstore.active_backend == "binary"
-    binary_keys = primed_keys(bstore, key)
-    json_keys = primed_keys(jstore, key)
-
-    def cold():
-        for entry in binary_keys:
-            HOT_CELLS.pop(entry)
-        return bstore.node_at(*TASK)
-
-    node = benchmark(cold)
-    assert node is not None and node.key == key
-
-    def best_of(fn, rounds=3, iterations=200):
-        fn()  # warm the store-level memos outside the timing
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            for _ in range(iterations):
-                fn()
-            best = min(best, (time.perf_counter() - start) / iterations)
-        return best
-
-    def cold_json():
-        for entry in json_keys:
-            HOT_CELLS.pop(entry)
-        return jstore.node_at(*TASK)
-
-    json_seconds = best_of(cold_json)
-    binary_seconds = best_of(cold)
-    assert json_seconds >= 10 * binary_seconds, (
-        f"binary cold point lookup must be >=10x faster than the JSON "
-        f"shard cold load: json {json_seconds * 1e6:.1f}us vs binary "
-        f"{binary_seconds * 1e6:.1f}us "
-        f"({json_seconds / binary_seconds:.1f}x)"
-    )
-
-
 def bench_serve_warm_point_lookup(benchmark, root):
     """Warm lookup: served from the hot-node LRU, no file I/O at all."""
-    store = UniverseStore.open_readonly(root, backend="binary")
+    store = UniverseStore.open_readonly(root)
     store.node_at(*TASK)  # prime
 
     node = benchmark(store.node_at, *TASK)
@@ -137,7 +67,7 @@ def bench_serve_warm_point_lookup(benchmark, root):
 
 def bench_serve_service_decide(benchmark, root):
     """In-process service routing: decide without HTTP framing."""
-    service = UniverseService.open(root, backend="binary")
+    service = UniverseService.open(root)
     n, m, low, high = TASK
     query = {"n": str(n), "m": str(m), "low": str(low), "high": str(high)}
 
@@ -150,7 +80,7 @@ def bench_serve_http_qps(benchmark, root):
     """Real-socket QPS: a keep-alive burst of decide requests."""
     import http.client
 
-    with BackgroundServer(root, backend="binary") as server:
+    with BackgroundServer(root) as server:
         connection = http.client.HTTPConnection(
             server.host, server.port, timeout=30
         )
@@ -175,7 +105,7 @@ def bench_serve_http_etag_revalidation(benchmark, root):
     """A 304 burst: revalidation skips the body entirely."""
     import http.client
 
-    with BackgroundServer(root, backend="binary") as server:
+    with BackgroundServer(root) as server:
         n, m, low, high = TASK
         path = f"/decide?n={n}&m={m}&low={low}&high={high}"
         status, headers, _ = server.get(path)
@@ -224,7 +154,7 @@ def bench_serve_http_tail_latency_concurrent(benchmark, root):
     latencies: list[float] = []
     failures: list[int] = []
 
-    with BackgroundServer(root, backend="binary") as server:
+    with BackgroundServer(root) as server:
 
         def client() -> None:
             connection = http.client.HTTPConnection(
@@ -277,7 +207,7 @@ def bench_serve_tail_latency_under_worker_kill(benchmark, root):
     failures: list[int] = []
     connection_errors = [0]
 
-    with SupervisedServer(root, workers=2, backend="binary") as server:
+    with SupervisedServer(root, workers=2) as server:
 
         def client() -> None:
             for _ in range(30):

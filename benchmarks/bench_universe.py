@@ -64,7 +64,7 @@ def bench_universe_incremental_widening(benchmark, tmp_path):
 
 
 def bench_universe_load_and_assemble(benchmark, tmp_path):
-    """Load every shard and derive the cross-family edges."""
+    """Load every stored cell and derive the cross-family edges."""
     store = UniverseStore(tmp_path / "load")
     store.build(SMOKE_N, SMOKE_M)
 

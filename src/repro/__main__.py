@@ -17,7 +17,6 @@ Usage::
                                    [--dir universe_store] [--force]
                                    [--close-open] [--max-empirical-n 4]
                                    [--max-rounds 2] [--budget N]
-    python -m repro universe pack [--dir ...] [--force]
     python -m repro universe stats [--dir ...] [--json [PATH]]
     python -m repro universe query [--dir ...] (--harder-than N M L U |
                                    --weaker-than N M L U | --path 8xINT |
@@ -30,7 +29,7 @@ Usage::
                               [--max-jobs N] [--lease-seconds S]
     python -m repro sweep status [--dir ...] [--json [PATH]]
     python -m repro serve [--host 127.0.0.1 --port 8707] [--dir ...]
-                          [--backend auto|json|binary] [--workers N]
+                          [--workers N]
                           [--request-timeout S] [--idle-timeout S]
                           [--max-inflight N] [--no-reuse-port]
     python -m repro explore [--tasks wsb,election,renaming] [--n 2 3 4]
@@ -45,10 +44,12 @@ padding, reduction closure, bounded empirical search) and prints the
 verdict with its machine-checkable certificate; ``universe check``
 replays every certificate stored alongside a universe store.
 
-``universe pack`` compiles the JSON shards into the read-optimized
-binary backend (``pack.sqlite``) and ``serve`` exposes the store over
-the async HTTP query API (:mod:`repro.serve`); the ``--backend`` flag
-on every store-reading command selects which representation reads use.
+A store is one SQLite file, ``<dir>/universe.sqlite``
+(:mod:`repro.universe.storefile`): ``universe build``/``sweep`` write it
+in transactions, every other store command reads it, and ``serve``
+exposes it over the async HTTP query API (:mod:`repro.serve`).  An
+unreadable store file fails the command with one error naming the file
+and ``universe build --force``.
 
 ``verify`` is the one-shot acceptance check: Table 1 and Figure 1 must
 match the published content, and Figure 2 must pass exhaustive model
@@ -186,19 +187,23 @@ def _cmd_decide(args) -> int:
     from .analysis import emit_json
     from .core.bounds import GSBSpecificationError
     from .decision import DecisionPipeline
-    from .universe import UniverseStore
+    from .universe import StoreError, UniverseStore
 
     store = UniverseStore(args.dir)
     graph = None
-    if store.built_cells():
-        try:
+    cache = None if args.no_cache else store.decision_cache
+    try:
+        if store.built_cells():
             graph = store.load()
-        except (OSError, ValueError):
-            graph = None  # unreadable store: the pipeline builds its own row
+    except (OSError, ValueError, StoreError) as error:
+        # The pipeline builds its own family row and runs uncached.
+        print(
+            f"warning: ignoring unreadable universe store {args.dir}: {error}",
+            file=sys.stderr,
+        )
+        cache = None
     pipeline = DecisionPipeline(
-        budget=_decision_budget(args),
-        cache=None if args.no_cache else store.decision_cache,
-        graph=graph,
+        budget=_decision_budget(args), cache=cache, graph=graph
     )
     try:
         verdict = pipeline.decide(
@@ -280,7 +285,7 @@ def _cmd_census(args) -> int:
 def _universe_store(args):
     from .universe import UniverseStore
 
-    return UniverseStore(args.dir, backend=getattr(args, "backend", "json"))
+    return UniverseStore(args.dir)
 
 
 def _load_universe(args):
@@ -289,15 +294,12 @@ def _load_universe(args):
     Goes through :meth:`UniverseStore.open_readonly` +
     :meth:`UniverseStore.load_cached`, so repeated query-path calls in
     one process share the store instance and its assembled graph
-    instead of re-reading the manifest and shards per call.
+    instead of re-reading the store per call.
     """
     from .universe import UniverseStore
 
     try:
-        store = UniverseStore.open_readonly(
-            args.dir, backend=getattr(args, "backend", "auto")
-        )
-        return store.load_cached()
+        return UniverseStore.open_readonly(args.dir).load_cached()
     except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return None
@@ -351,33 +353,6 @@ def _cmd_universe_build(args) -> int:
     return 0
 
 
-def _cmd_universe_pack(args) -> int:
-    """Compile the JSON shards into the read-optimized binary backend."""
-    store = _universe_store(args)
-    try:
-        report = store.pack(force=args.force)
-    except FileNotFoundError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if report.skipped:
-        print(
-            f"universe pack: {report.path} already current "
-            f"({report.cells} cells, {report.nodes} nodes, "
-            f"{report.certificates} certificates, {report.overrides} "
-            f"overrides) — nothing to do"
-        )
-    else:
-        print(
-            "universe pack: compiled {} cells ({} nodes, {} edges, {} "
-            "certificates, {} overrides) -> {} in {:.2f}s".format(
-                report.cells, report.nodes, report.edges,
-                report.certificates, report.overrides, report.path,
-                report.seconds,
-            )
-        )
-    return 0
-
-
 def _cmd_serve(args) -> int:
     from .serve import ServeConfig, serve_forever
 
@@ -400,7 +375,6 @@ def _cmd_serve(args) -> int:
             args.dir,
             SupervisorConfig(
                 workers=args.workers,
-                backend=args.backend,
                 host=args.host,
                 port=args.port,
                 serve=config,
@@ -410,7 +384,6 @@ def _cmd_serve(args) -> int:
         return supervisor.run()
     serve_forever(
         args.dir,
-        backend=args.backend,
         host=args.host,
         port=args.port,
         config=config,
@@ -946,14 +919,6 @@ SHARED_GROUPS: dict[str, tuple[Arg, ...]] = {
             default="universe_store",
             help="store directory (default: ./universe_store)",
         ),
-        arg(
-            "--backend",
-            choices=["auto", "json", "binary"],
-            default="auto",
-            help="read representation: the compiled pack.sqlite (binary), "
-            "the JSON shards (json), or the pack when a current one "
-            "exists (auto, the default)",
-        ),
     ),
     "decision-budget": (
         arg(
@@ -1091,26 +1056,14 @@ COMMANDS: tuple[Command, ...] = (
                     arg(
                         "--force",
                         action="store_true",
-                        help="recompute cells already on disk",
+                        help="delete the store file and rebuild it from "
+                        "scratch",
                     ),
                     arg(
                         "--close-open",
                         action="store_true",
                         help="run the decision pipeline's close-open sweep "
                         "(tiers 3-4) and persist the verdicts",
-                    ),
-                ),
-            ),
-            Command(
-                name="pack",
-                help="compile the shards into the binary read backend",
-                handler=_cmd_universe_pack,
-                groups=("store-dir",),
-                args=(
-                    arg(
-                        "--force",
-                        action="store_true",
-                        help="recompile even when the pack is current",
                     ),
                 ),
             ),
@@ -1415,8 +1368,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .universe.storefile import StoreError
+
     try:
         return args.handler(args)
+    except StoreError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The stdout consumer (e.g. `--json | head`) closed the pipe.
         # Point stdout at devnull so the interpreter's shutdown flush
@@ -1428,4 +1386,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    from .testing.faults import install_from_env
+
+    install_from_env()  # REPRO_FAULTS arms fault points in CLI processes
     sys.exit(main())

@@ -16,12 +16,12 @@ pluggable pipeline, cheapest first:
 
 Every non-OPEN verdict carries a typed, machine-checkable
 :class:`Certificate` that a standalone ``check()`` replays, and verdicts
-persist in a disk-backed :class:`CertificateCache` so repeat decisions
-are O(1).  CLI front-ends: ``python -m repro decide N M L U`` and
-``python -m repro universe build --close-open``.
+persist in a :class:`CertificateCache` inside the universe store file so
+repeat decisions are O(1).  CLI front-ends: ``python -m repro decide N M
+L U`` and ``python -m repro universe build --close-open``.
 """
 
-from .cache import CACHE_SCHEMA_VERSION, CertificateCache
+from .cache import CertificateCache
 from .certificates import (
     Certificate,
     DecisionMapCertificate,
@@ -49,7 +49,6 @@ from .procedures import (
 )
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION",
     "Certificate",
     "CertificateCache",
     "CloseOpenReport",

@@ -1,21 +1,17 @@
 """Disk-backed cache of verdicts and their certificates.
 
-Layout of a cache directory (conventionally ``<store>/decision`` next to
-a :class:`repro.universe.persist.UniverseStore`)::
-
-    <root>/
-      n{n:03d}_m{m:03d}.json    # one shard per (n, m) family
-
-Each shard maps ``"l,u"`` (canonical parameters) to a verdict entry::
+The cache lives in a universe store's file (``<root>/universe.sqlite``,
+:mod:`repro.universe.storefile`) as the ``decisions`` table: one row per
+canonical ``(n, m, low, high)`` holding a verdict entry::
 
     {"solvability": ..., "reason": ..., "tier": ..., "procedure": ...,
      "certificate_id": ..., "certificate": <payload or null>,
      "evidence": [...], "budget": {...}}
 
-Entries are written atomically (write-then-rename) and read lazily with
-per-family memoization, so a warm ``decide`` is one dict lookup.  A
-corrupt or stale shard is treated as empty and silently rewritten on the
-next ``put`` — the cache is a pure memo, never the source of truth.
+A lookup is one indexed row; writes are transactions, and a write made
+inside an enclosing store transaction (the close-open commit) joins it,
+so override rows and their decide-cache rows land together or not at
+all.
 """
 
 from __future__ import annotations
@@ -26,9 +22,6 @@ from pathlib import Path
 from typing import Iterator
 
 from ..core import cache_config
-
-#: Bump when the entry layout changes; mismatched shards read as empty.
-CACHE_SCHEMA_VERSION = 1
 
 Key = tuple[int, int, int, int]
 
@@ -47,7 +40,7 @@ def _aggregate_stats() -> dict[str, int]:
 
 
 def _aggregate_clear() -> None:
-    # Counters only: dropping shards would destroy durable verdicts.
+    # Counters only: dropping rows would destroy durable verdicts.
     for cache in list(_instances):
         cache._hits = cache._misses = cache._writes = 0
 
@@ -58,105 +51,59 @@ cache_config.register_counters(
 
 
 class CertificateCache:
-    """Family-sharded verdict + certificate store with O(1) warm lookups."""
+    """Verdict + certificate rows in the store file of ``root``."""
 
     def __init__(self, root: str | Path):
+        from ..universe.storefile import StoreFile
+
         self.root = Path(root)
-        self._families: dict[tuple[int, int], dict[str, dict]] = {}
+        self._db = StoreFile.at(self.root)
         self._hits = 0
         self._misses = 0
         self._writes = 0
         _instances.add(self)
 
-    def shard_path(self, n: int, m: int) -> Path:
-        return self.root / f"n{n:03d}_m{m:03d}.json"
-
-    @staticmethod
-    def _entry_key(low: int, high: int) -> str:
-        return f"{low},{high}"
-
-    def _family(self, n: int, m: int) -> dict[str, dict]:
-        family = self._families.get((n, m))
-        if family is not None:
-            return family
-        family = {}
-        path = self.shard_path(n, m)
-        if path.is_file():
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                if payload.get("version") == CACHE_SCHEMA_VERSION:
-                    entries = payload.get("entries")
-                    if isinstance(entries, dict):
-                        family = entries
-                # Stale schema: start empty; the next put rewrites it.
-            except (OSError, ValueError):
-                family = {}  # torn/garbage shard: self-heal by rebuild
-        self._families[(n, m)] = family
-        return family
-
     def get(self, key: Key) -> dict | None:
         """The stored entry for a canonical key, or None."""
-        n, m, low, high = key
-        entry = self._family(n, m).get(self._entry_key(low, high))
-        if entry is None:
+        rows = self._db.rows(
+            "SELECT payload FROM decisions "
+            "WHERE n = ? AND m = ? AND low = ? AND high = ?",
+            tuple(key),
+        )
+        if not rows:
             self._misses += 1
-        else:
-            self._hits += 1
-        return entry
+            return None
+        self._hits += 1
+        return self._db.loads(rows[0][0])
 
     def put(self, key: Key, entry: dict) -> None:
-        """Store one entry and persist its family shard atomically."""
-        n, m, low, high = key
-        family = self._family(n, m)
-        family[self._entry_key(low, high)] = entry
-        self._writes += 1
-        self._write_family(n, m, family)
+        """Store one entry."""
+        self.put_many({key: entry})
 
     def put_many(self, entries: dict[Key, dict]) -> None:
-        """Batch store (one shard write per touched family)."""
-        touched: set[tuple[int, int]] = set()
-        for (n, m, low, high), entry in entries.items():
-            self._family(n, m)[self._entry_key(low, high)] = entry
-            self._writes += 1
-            touched.add((n, m))
-        for n, m in sorted(touched):
-            self._write_family(n, m, self._families[(n, m)])
-
-    def _write_family(self, n: int, m: int, family: dict[str, dict]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.shard_path(n, m)
-        staging = path.with_suffix(".json.tmp")
-        payload = {
-            "version": CACHE_SCHEMA_VERSION,
-            "n": n,
-            "m": m,
-            "entries": dict(sorted(family.items())),
-        }
-        with open(staging, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        staging.replace(path)
+        """Store a batch of entries in one transaction."""
+        if not entries:
+            return
+        with self._db.transaction() as connection:
+            connection.executemany(
+                "INSERT OR REPLACE INTO decisions (n, m, low, high, payload) "
+                "VALUES (?, ?, ?, ?, ?)",
+                (
+                    (*key, json.dumps(entry, sort_keys=True))
+                    for key, entry in sorted(entries.items())
+                ),
+            )
+        self._writes += len(entries)
 
     # -- enumeration (replay passes, stats) -----------------------------
 
-    def families_on_disk(self) -> list[tuple[int, int]]:
-        cells = []
-        if self.root.is_dir():
-            for path in self.root.glob("n*_m*.json"):
-                try:
-                    n_part, m_part = path.stem.split("_")
-                    cells.append((int(n_part[1:]), int(m_part[1:])))
-                except ValueError:
-                    continue
-        return sorted(cells)
-
     def iter_entries(self) -> Iterator[tuple[Key, dict]]:
-        """Every stored entry, loading all shards (replay passes)."""
-        for n, m in self.families_on_disk():
-            for raw_key, entry in sorted(self._family(n, m).items()):
-                low, high = (int(part) for part in raw_key.split(","))
-                yield (n, m, low, high), entry
+        """Every stored entry in ascending key order (replay passes)."""
+        for n, m, low, high, blob in self._db.rows(
+            "SELECT n, m, low, high, payload FROM decisions "
+            "ORDER BY n, m, low, high"
+        ):
+            yield (n, m, low, high), self._db.loads(blob)
 
     def iter_certificates(self) -> Iterator[tuple[Key, dict]]:
         """Every stored certificate payload (deduped by id)."""
@@ -170,25 +117,22 @@ class CertificateCache:
             yield key, payload
 
     def stats(self) -> dict[str, int | str]:
-        """Hit/miss counters plus disk shape, FamilyStore-style."""
+        """Hit/miss/write counters plus the stored entry count."""
         return {
             "root": str(self.root),
             "hits": self._hits,
             "misses": self._misses,
             "writes": self._writes,
-            "families_loaded": len(self._families),
-            "families_on_disk": len(self.families_on_disk()),
-            "entries": sum(
-                len(family) for family in self._families.values()
+            "entries": self._db.value(
+                "SELECT COUNT(*) FROM decisions", default=0
             ),
         }
 
     def clear(self) -> None:
-        """Drop memory and disk content (tests/benchmarks)."""
-        self._families.clear()
+        """Drop stored entries and counters (tests/benchmarks)."""
         self._hits = 0
         self._misses = 0
         self._writes = 0
-        if self.root.is_dir():
-            for path in self.root.glob("n*_m*.json"):
-                path.unlink()
+        if self._db.path.is_file():
+            with self._db.transaction() as connection:
+                connection.execute("DELETE FROM decisions")

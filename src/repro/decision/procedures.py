@@ -215,7 +215,7 @@ def structural_verdict(
     """Tiers 1-2 combined: the budget-free, deterministic verdict.
 
     This is what the universe graph bakes into its cells — pure closed
-    forms, no exploration, no graph — so cell shards stay a deterministic
+    forms, no exploration, no graph — so stored cells stay a deterministic
     function of ``(n, m)``.
     """
     result = closed_form(n, m, low, high)

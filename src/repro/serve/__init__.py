@@ -1,11 +1,11 @@
-"""Universe-as-a-service: the HTTP read path over a packed store.
+"""Universe-as-a-service: the HTTP read path over a universe store.
 
 The ROADMAP north star is serving ``decide``/``query`` traffic, not
 re-running the CLI per question.  This subpackage is that read path:
 
 * :mod:`repro.serve.service` — :class:`UniverseService`, a transport-free
   request router over a read-only :class:`repro.universe.UniverseStore`
-  (point lookups ride the binary pack + hot-node LRU; cone/frontier
+  (point lookups are one store row behind a hot-node LRU; cone/frontier
   queries ride the fingerprint-memoized assembled graph).  Responses
   carry ETags keyed on certificate content hashes, so unchanged answers
   revalidate with a ``304`` and no body.

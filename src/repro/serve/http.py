@@ -362,7 +362,6 @@ def request_json(
 
 def serve_forever(
     root,
-    backend: str = "auto",
     host: str = "127.0.0.1",
     port: int = 8707,
     metrics: ServiceMetrics | None = None,
@@ -383,7 +382,7 @@ def serve_forever(
     stats callable.
     """
     service = UniverseService.open(
-        root, backend=backend, metrics=metrics, extra_stats=extra_stats
+        root, metrics=metrics, extra_stats=extra_stats
     )
     state = ServerState(service, config)
 
@@ -395,8 +394,7 @@ def serve_forever(
                 for s in server.sockets
             )
             print(
-                f"serving universe store {service.store.root} "
-                f"[{service.store.active_backend} backend] on {addresses}",
+                f"serving universe store {service.store.root} on {addresses}",
                 flush=True,
             )
         if ready is not None:
@@ -432,7 +430,7 @@ class BackgroundServer:
 
     ::
 
-        with BackgroundServer(store_root, backend="binary") as server:
+        with BackgroundServer(store_root) as server:
             http.client.HTTPConnection(server.host, server.port)
 
     The event loop lives on the background thread; entering the context
@@ -445,13 +443,12 @@ class BackgroundServer:
     def __init__(
         self,
         root,
-        backend: str = "auto",
         host: str = "127.0.0.1",
         port: int = 0,
         service: UniverseService | None = None,
         config: ServeConfig | None = None,
     ) -> None:
-        self.service = service or UniverseService.open(root, backend=backend)
+        self.service = service or UniverseService.open(root)
         self.state = ServerState(self.service, config)
         self._host_requested = host
         self._port_requested = port

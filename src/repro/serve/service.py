@@ -9,7 +9,7 @@ and only a thin smoke drives real sockets.
 
 Endpoints (all JSON)::
 
-    GET  /decide?n=&m=&low=&high=      point verdict (pack lookup; tasks
+    GET  /decide?n=&m=&low=&high=      point verdict (one store row; tasks
                                        outside the rectangle fall back to
                                        the structural decision tiers)
     GET  /cones?n=&m=&low=&high=       harder/weaker reachability cones
@@ -27,6 +27,11 @@ everything else keys on the store fingerprint (which pins the cell set
 and overrides, hence every derived answer).  ``If-None-Match`` hits
 return ``304`` with no body; any store mutation changes the fingerprint
 and therefore every fingerprint-keyed ETag at once.
+
+A store read that fails (an unreadable or corrupt store file) answers
+that one request ``500`` with a JSON error naming the file, counted
+under the endpoint's errors in ``/stats``; nothing is cached from it, so
+the next request reads the store afresh.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from ..universe.query import (
     solvability_frontier,
     weaker_cone,
 )
+from ..universe.storefile import StoreError
 from .metrics import ServiceMetrics
 
 #: Endpoints the batch endpoint may dispatch to (no nesting, no stats —
@@ -123,7 +129,7 @@ class UniverseService:
     """Read-only query service over one universe store.
 
     ``store`` is normally :meth:`UniverseStore.open_readonly` output so
-    the pack handle, hot-node LRU and fingerprint-memoized graph are
+    the store connection, hot-node LRU and fingerprint-memoized graph are
     shared with every other call site in the process.  The decision
     pipeline fallback (for tasks outside the built rectangle) runs the
     *structural* tiers only — no empirical search on the serving path,
@@ -149,12 +155,11 @@ class UniverseService:
     def open(
         cls,
         root,
-        backend: str = "auto",
         metrics: ServiceMetrics | None = None,
         extra_stats: Any = None,
     ) -> "UniverseService":
         return cls(
-            UniverseStore.open_readonly(root, backend=backend),
+            UniverseStore.open_readonly(root),
             metrics=metrics,
             extra_stats=extra_stats,
         )
@@ -181,6 +186,8 @@ class UniverseService:
             response = Response(404, {"error": str(error)})
         except json.JSONDecodeError as error:
             response = Response(400, {"error": f"invalid JSON body: {error}"})
+        except StoreError as error:
+            response = Response(500, {"error": str(error)})
         if (
             response.status == 200
             and response.etag is not None
@@ -243,7 +250,6 @@ class UniverseService:
                 "reason": node.reason,
                 "certificate_id": node.certificate_id or None,
                 "source": "universe",
-                "backend": self.store.active_backend,
             }
             # A certificate pins the answer by content; an uncertified
             # verdict is pinned by the store fingerprint instead (any
@@ -419,7 +425,6 @@ class UniverseService:
 
     def _stats(self) -> Response:
         store_stats = self.store.stats()
-        store_stats["active_backend"] = self.store.active_backend
         store_stats["fingerprint"] = self.store.fingerprint()
         payload = {
             "uptime_seconds": time.time() - self.started,

@@ -17,7 +17,7 @@ port and keeps them alive:
   stop accepting, finish in-flight requests up to the configured
   grace, exit 0; the parent hard-kills stragglers past the deadline.
 * **rolling restart** — SIGHUP replaces workers one at a time (drain,
-  reap, respawn), so a pack refresh never drops the whole port.
+  reap, respawn), so a store refresh never drops the whole port.
 
 Worker health is shared through a :class:`WorkerBoard`: an anonymous
 ``mmap`` created pre-fork, one row of counters per worker slot.  The
@@ -135,7 +135,6 @@ class SupervisorConfig:
     """Parent-side knobs (the per-request knobs live in ServeConfig)."""
 
     workers: int = 2
-    backend: str = "auto"
     host: str = "127.0.0.1"
     port: int = 8707
     serve: ServeConfig = field(default_factory=ServeConfig)
@@ -261,7 +260,6 @@ class Supervisor:
         try:
             serve_forever(
                 self.root,
-                backend=cfg.backend,
                 metrics=metrics,
                 config=cfg.serve,
                 sock=sock,
@@ -314,7 +312,7 @@ class Supervisor:
             )
 
     def _rolling_restart(self) -> None:
-        """Replace workers one at a time (SIGHUP: pack refresh)."""
+        """Replace workers one at a time (SIGHUP: store refresh)."""
         print("supervisor: rolling restart", file=sys.stderr, flush=True)
         for slot in sorted(self._pids):
             pid = self._pids.get(slot)
@@ -420,7 +418,6 @@ class SupervisedServer:
         self,
         root,
         workers: int = 2,
-        backend: str = "auto",
         faults: str | None = None,
         request_timeout: float | None = None,
         idle_timeout: float | None = None,
@@ -430,7 +427,6 @@ class SupervisedServer:
     ) -> None:
         self.root = root
         self.workers = workers
-        self.backend = backend
         self.faults = faults
         self.request_timeout = request_timeout
         self.idle_timeout = idle_timeout
@@ -455,8 +451,6 @@ class SupervisedServer:
             str(self.root),
             "--workers",
             str(self.workers),
-            "--backend",
-            self.backend,
             "--host",
             self.host,
             "--port",

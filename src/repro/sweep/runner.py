@@ -29,7 +29,7 @@ region.  Its lifecycle:
     converges to the byte-identical overrides document (hence store
     fingerprint) of an uninterrupted one.
 
-The queue is the write-ahead log and the overrides file is the
+The queue is the write-ahead log and the store's override rows are the
 checkpoint: killing any process at any instant loses at most one
 in-flight attack, never a committed result.
 """

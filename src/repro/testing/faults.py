@@ -2,7 +2,8 @@
 
 The serving and storage layers compile in *fault points* — named hooks
 at the places where real deployments break: the response write path,
-the request handler, the pack's SQLite reads, a worker's request loop.
+the request handler, the store file's reads and commits, a worker's
+request loop.
 In normal operation every hook costs one attribute read
 (``FAULTS.active`` is False and the call site skips the dispatch
 entirely); the chaos suite arms a point with an *action* and the next
@@ -28,7 +29,8 @@ Spec grammar (``;``-separated arms)::
     serve.worker.kill=exit:after=25        die (os._exit 1) at pass 26
     serve.request.hold=delay:seconds=5     hold every request 5s
     serve.response.write=truncate:keep=10,times=1
-    backend.pack.read=raise:times=3        3 injected read errors
+    store.read=raise:times=3               3 injected store read errors
+    store.write.commit=exit:after=5        die before the 6th store commit
 
 Built-in actions: ``exit`` (``code``), ``raise`` (``message``),
 ``delay`` (``seconds``), ``truncate`` (``keep`` — truncates the
@@ -46,10 +48,13 @@ point                      site / effect when armed
                            drop to tear the write mid-flight
 ``serve.worker.kill``      per request in the connection loop — exit
                            to simulate a worker crash under load
-``backend.pack.read``      every pack SQL read — raise to exercise
-                           the loud JSON-shard fallback
-``backend.pack.row``       every pack row decode — corrupt the blob
-                           to simulate a torn pack read
+``store.read``             every store-file SQL read — raise to
+                           exercise the loud read failure (a ``500``
+                           on the serving path, never a fallback)
+``store.write.commit``     inside every store write transaction,
+                           just before COMMIT — raise to roll the
+                           transaction back, exit to crash with it
+                           uncommitted
 ``sweep.lease.commit``     sweep queue, just after a job lease
                            commits — exit to kill a worker that owns
                            undone work (stale-lease requeue window)

@@ -11,30 +11,22 @@ over a whole parameter rectangle as a persistent, queryable graph:
   cross-family edges are certified from Theorem 8 (universality of perfect
   renaming) and the executable reduction registry.
 * :mod:`repro.universe.persist` — :class:`UniverseStore`, the disk-backed
-  incremental store (one shard per ``(n, m)`` cell, parallel builds on the
-  census LPT sharding; widening the rectangle only computes new cells).
-* :mod:`repro.universe.backend` — the read-optimized binary backend: the
-  shards compiled into a single ``pack.sqlite`` with per-node rows, so
-  point lookups of verdicts/certificates are O(1) indexed reads behind
-  ``UniverseStore(root, backend="binary")``; staleness is fingerprinted
-  and corruption falls back to the shards with a loud warning.
+  incremental store (parallel builds on the census LPT sharding; widening
+  the rectangle only computes new cells).
+* :mod:`repro.universe.storefile` — the store's one transactional SQLite
+  file, ``universe.sqlite``: cells, per-node rows, certificates,
+  close-open overrides and the decide cache, with the content
+  fingerprint kept current by every write, so point lookups are one
+  indexed row and a crash never leaves a half-written cell.
 * :mod:`repro.universe.query` — harder/weaker cones, reduction paths, the
   solvability frontier, and incomparable-pair extraction.
 * :mod:`repro.universe.export` — DOT / JSON / GraphML emitters.
 
-CLI front-end: ``python -m repro universe build|pack|query|export|stats``
+CLI front-end: ``python -m repro universe build|query|export|stats|check``
 plus the HTTP serving layer ``python -m repro serve``
 (:mod:`repro.serve`).
 """
 
-from .backend import (
-    PACK_FILENAME,
-    PACK_SCHEMA_VERSION,
-    PackError,
-    UniversePack,
-    store_fingerprint,
-    write_pack,
-)
 from .export import (
     render_universe_stats,
     universe_export,
@@ -63,14 +55,7 @@ from .graph import (
     single_cell_graph,
     task_node_key,
 )
-from .persist import (
-    BACKENDS,
-    HOT_CELLS,
-    SCHEMA_VERSION,
-    BuildReport,
-    PackReport,
-    UniverseStore,
-)
+from .persist import HOT_CELLS, BuildReport, UniverseStore
 from .query import (
     FrontierReport,
     canonical_task_key,
@@ -81,9 +66,14 @@ from .query import (
     solvability_frontier,
     weaker_cone,
 )
+from .storefile import (
+    SCHEMA_VERSION,
+    STORE_FILENAME,
+    StoreError,
+    store_fingerprint,
+)
 
 __all__ = [
-    "BACKENDS",
     "BuildReport",
     "EDGE_CONTAINMENT",
     "EDGE_KINDS",
@@ -93,16 +83,13 @@ __all__ = [
     "FrontierReport",
     "HOT_CELLS",
     "NodeKey",
-    "PACK_FILENAME",
-    "PACK_SCHEMA_VERSION",
-    "PackError",
-    "PackReport",
     "SCHEMA_VERSION",
+    "STORE_FILENAME",
+    "StoreError",
     "UniverseCell",
     "UniverseEdge",
     "UniverseGraph",
     "UniverseNode",
-    "UniversePack",
     "UniverseStore",
     "add_cross_family_edges",
     "assemble",
@@ -121,7 +108,6 @@ __all__ = [
     "store_fingerprint",
     "task_node_key",
     "universe_export",
-    "write_pack",
     "universe_to_dot",
     "universe_to_graphml",
     "universe_to_json",

@@ -1,77 +1,50 @@
 """Disk-backed incremental store for the universe graph.
 
-Layout of a store directory::
+A store directory holds one SQLite file, ``<root>/universe.sqlite``
+(:mod:`repro.universe.storefile`), plus the sweep queue under
+``<root>/sweep/`` once a campaign runs.  The file carries:
 
-    <root>/
-      manifest.json          # schema version + per-cell summary counts
-      cells/
-        n{n:03d}_m{m:03d}.json   # one UniverseCell per (n, m)
-
-Shards hold only *per-cell* data (nodes and intra-family containment
-covers); cross-family edges depend on which cells exist and are derived
-at :meth:`UniverseStore.load` time, so incremental rebuilds are trivially
-correct — after widening the rectangle, ``build`` computes exactly the
-missing cells and everything already on disk is reused byte for byte.
+* the cells — per-``(n, m)`` nodes and intra-family containment covers.
+  Cross-family edges depend on which cells exist and are derived at
+  :meth:`UniverseStore.load` time, so incremental rebuilds are trivially
+  correct: after widening the rectangle, ``build`` computes exactly the
+  missing cells and everything already stored is reused;
+* the overrides — verdicts the close-open sweep (tiers 3-4 of
+  :mod:`repro.decision`) established for nodes the structural cells
+  leave OPEN.  :meth:`UniverseStore.load` re-applies them, so a rebuilt
+  graph keeps its closed frontier without re-searching;
+* the decide cache (:class:`repro.decision.cache.CertificateCache`),
+  shared with the ``decide`` CLI.
 
 Parallel builds ride the census LPT sharding
 (:func:`repro.analysis.census.partition_cells`): missing cells are
 balanced over a process pool by the same ``n**2 * m`` cost estimate, each
 shard processed in ascending ``(n, m)`` order so the worker's
 process-local caches (kernel masters, classification, family store) are
-primed by the small cells.  Workers return plain JSON payloads; all file
-writes happen in the parent.
+primed by the small cells.  Workers return plain JSON payloads; the
+parent commits each cell in its own transaction, so an interrupted build
+keeps every cell it finished and the next ``build`` computes only the
+rest.
 
-Beyond the cells, a store carries the decision pipeline's persistent
-state:
-
-* ``decision/`` — a :class:`repro.decision.cache.CertificateCache` shard
-  set holding verdict entries and certificate payloads, shared with the
-  ``decide`` CLI;
-* ``overrides.json`` — verdicts the close-open sweep (tiers 3-4 of
-  :mod:`repro.decision`) established for nodes the structural cells
-  leave OPEN.  :meth:`UniverseStore.load` re-applies them, so a rebuilt
-  graph keeps its closed frontier without re-searching.
-
-``load`` self-heals: a torn, garbage or stale-schema shard encountered
-while assembling is recomputed in place (and re-noted in the manifest)
-instead of failing the load, and manifest entries for vanished shards
-are pruned on the next ``build``.
-
-Serving rides a second, *read-optimized* representation: ``pack.sqlite``
-(:mod:`repro.universe.backend`), compiled from the shards by
-:meth:`UniverseStore.pack` and selected with
-``UniverseStore(root, backend="binary")`` (or ``"auto"``, which uses the
-pack when a valid one is present).  A pack that is missing, corrupt or
-stale — its recorded fingerprint no longer matches the shards plus
-overrides on disk — makes the store fall back to the JSON shards with a
-loud :class:`RuntimeWarning`; the pack is a compilation, never the
-source of truth.  Point lookups (:meth:`UniverseStore.node_at`) go
-through a process-wide hot-node LRU registered with
-:mod:`repro.core.cache_config` (``universe.hot_cells``), so a warm
-lookup touches no file at all, and :meth:`UniverseStore.open_readonly`
-memoizes store instances (and their assembled graphs, via
-:meth:`UniverseStore.load_cached`) per resolved root so query-path call
-sites stop re-reading the manifest per call.
+Point lookups (:meth:`UniverseStore.node_at`) are one indexed row behind
+a process-wide hot-node LRU registered with :mod:`repro.core.cache_config`
+(``universe.hot_cells``), so a warm lookup touches no file at all, and
+:meth:`UniverseStore.open_readonly` memoizes store instances (and their
+assembled graphs, via :meth:`UniverseStore.load_cached`) per resolved
+root, revalidating against the stored content fingerprint.
 """
 
 from __future__ import annotations
 
 import json
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 from ..analysis.census import partition_cells
 from ..core.cache_config import BoundedDictCache
-from .backend import (
-    PACK_FILENAME,
-    PackError,
-    UniversePack,
-    store_fingerprint,
-    write_pack,
-)
 from .graph import (
     EDGE_CONTAINMENT,
     UniverseCell,
@@ -82,15 +55,11 @@ from .graph import (
     build_cell,
     rectangle_cells,
 )
-
-#: Bump when the cell payload layout changes; a mismatched store is
-#: rebuilt from scratch on the next ``build``.  2: decision-pipeline
-#: verdicts with certificate ids and per-cell certificate payloads.
-SCHEMA_VERSION = 2
+from .storefile import SCHEMA_VERSION, StoreFile, store_fingerprint
 
 
 def node_to_payload(node: UniverseNode) -> dict:
-    """JSON-serializable dump of one node (shared by shards and packs)."""
+    """JSON-serializable dump of one node (one ``nodes`` row)."""
     return {
         "key": list(node.key),
         "solvability": node.solvability,
@@ -120,7 +89,7 @@ def node_from_payload(raw: dict) -> UniverseNode:
 
 
 def cell_to_payload(cell: UniverseCell) -> dict:
-    """JSON-serializable dump of one cell (the shard file content)."""
+    """JSON-serializable dump of one cell (what ``build`` stores)."""
     return {
         "version": SCHEMA_VERSION,
         "n": cell.n,
@@ -138,7 +107,7 @@ def cell_from_payload(payload: dict) -> UniverseCell:
     version = payload.get("version")
     if version != SCHEMA_VERSION:
         raise ValueError(
-            f"cell shard has schema version {version}, expected "
+            f"cell payload has schema version {version}, expected "
             f"{SCHEMA_VERSION}; rebuild the store with force=True"
         )
     n, m = payload["n"], payload["m"]
@@ -174,32 +143,11 @@ class BuildReport:
     seconds: float
 
 
-@dataclass(frozen=True)
-class PackReport:
-    """Outcome of one ``universe pack`` compilation."""
-
-    path: str
-    cells: int
-    nodes: int
-    edges: int
-    certificates: int
-    overrides: int
-    seconds: float
-    skipped: bool = False  # pack was already current (fingerprint match)
-
-
-#: Backend names accepted by :class:`UniverseStore`.  ``auto`` uses the
-#: pack when a valid, current one exists and the shards otherwise.
-BACKENDS = ("json", "binary", "auto")
-
 #: Process-wide hot-node LRU for point lookups: ``(root, fingerprint,
 #: n, m, low, high) -> UniverseNode`` (or the absent marker) with
-#: overrides applied.  Node-granular so the binary backend's cold path
-#: stays a single indexed row; a JSON-backed cold lookup parses its
-#: cell once and primes every node of the cell.  Keyed on the store
-#: fingerprint so a rebuild or close-open sweep never serves stale
-#: nodes; bounded and counted by :mod:`repro.core.cache_config` like
-#: every other process-wide memo.
+#: overrides applied.  Keyed on the store fingerprint so a rebuild or
+#: close-open sweep never serves stale nodes; bounded and counted by
+#: :mod:`repro.core.cache_config` like every other process-wide memo.
 HOT_CELLS = BoundedDictCache("universe.hot_cells")
 
 #: Cache marker for "this feasible key has no node in the store":
@@ -207,50 +155,23 @@ HOT_CELLS = BoundedDictCache("universe.hot_cells")
 _ABSENT = object()
 
 
+def _node_key(key) -> str:
+    return ",".join(str(part) for part in key)
+
+
 class UniverseStore:
-    """A directory of per-cell shards plus a manifest.
+    """A store directory: cells, overrides and the decide cache."""
 
-    ``backend`` selects the *read* representation: ``"json"`` (default)
-    parses the per-cell shards, ``"binary"`` reads the compiled
-    ``pack.sqlite`` (falling back to the shards, with a loud warning,
-    when the pack is missing/corrupt/stale), ``"auto"`` uses the pack
-    when a valid one is present and stays quiet otherwise.  Builds and
-    close-open sweeps always write the JSON shards; ``pack()``
-    recompiles the binary form.
-    """
+    #: ``open_readonly`` memo: resolved root -> store.
+    _READONLY: dict[str, "UniverseStore"] = {}
 
-    #: ``open_readonly`` memo: ``(resolved root, backend) -> store``.
-    _READONLY: dict[tuple[str, str], "UniverseStore"] = {}
-
-    def __init__(self, root: str | Path, backend: str = "json") -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}, expected one of {BACKENDS}"
-            )
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.backend = backend
+        self._db = StoreFile.at(self.root)
         self._decision_cache = None
-        self._pack: UniversePack | None = None
-        self._pack_unusable = False  # warned once; retry after invalidate
         self._fingerprint: str | None = None
         self._overrides_doc: dict | None = None
         self._graph_cache: tuple[str, UniverseGraph] | None = None
-
-    @property
-    def cells_dir(self) -> Path:
-        return self.root / "cells"
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / "manifest.json"
-
-    @property
-    def overrides_path(self) -> Path:
-        return self.root / "overrides.json"
-
-    @property
-    def pack_path(self) -> Path:
-        return self.root / PACK_FILENAME
 
     @property
     def decision_cache(self):
@@ -258,53 +179,13 @@ class UniverseStore:
         if self._decision_cache is None:
             from ..decision.cache import CertificateCache
 
-            self._decision_cache = CertificateCache(self.root / "decision")
+            self._decision_cache = CertificateCache(self.root)
         return self._decision_cache
 
-    def cell_path(self, n: int, m: int) -> Path:
-        return self.cells_dir / f"n{n:03d}_m{m:03d}.json"
-
-    def has_cell(self, n: int, m: int) -> bool:
-        return self.cell_path(n, m).is_file()
-
     def built_cells(self) -> list[tuple[int, int]]:
-        """Every ``(n, m)`` with a shard on disk, ascending."""
-        cells = []
-        if self.cells_dir.is_dir():
-            for path in self.cells_dir.glob("n*_m*.json"):
-                try:
-                    n_part, m_part = path.stem.split("_")
-                    cells.append((int(n_part[1:]), int(m_part[1:])))
-                except ValueError:
-                    continue  # not one of ours
-        return sorted(cells)
-
-    def read_cell(self, n: int, m: int) -> UniverseCell:
-        with open(self.cell_path(n, m), encoding="utf-8") as handle:
-            return cell_from_payload(json.load(handle))
-
-    def write_cell_payload(self, payload: dict) -> None:
-        self.cells_dir.mkdir(parents=True, exist_ok=True)
-        path = self.cell_path(payload["n"], payload["m"])
-        # Write-then-rename so an interrupted build never leaves a
-        # truncated shard behind (has_cell must imply readable).
-        staging = path.with_suffix(".json.tmp")
-        with open(staging, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.write("\n")
-        staging.replace(path)
-
-    def manifest(self) -> dict:
-        if not self.manifest_path.is_file():
-            return {"version": SCHEMA_VERSION, "cells": {}}
-        with open(self.manifest_path, encoding="utf-8") as handle:
-            return json.load(handle)
-
-    def _write_manifest(self, manifest: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        """Every stored ``(n, m)``, ascending."""
+        rows = self._db.rows("SELECT n, m FROM cells ORDER BY n, m")
+        return [(n, m) for n, m in rows]
 
     # -- build ----------------------------------------------------------
 
@@ -313,56 +194,26 @@ class UniverseStore:
     ) -> BuildReport:
         """Incrementally materialize a rectangle.
 
-        Only cells without a shard are computed (all of them under
-        ``force``, or when the on-disk schema version is stale); a warm
-        rebuild of an already-built rectangle touches no cell at all.
+        Only cells not yet stored are computed, each committed in its own
+        transaction; a warm rebuild of an already-built rectangle touches
+        no cell at all.  ``force`` deletes the store file first and
+        recreates it (the cure for a corrupt or stale-schema file).
         """
         started = time.perf_counter()
+        if force:
+            self._db.delete()
         cells = rectangle_cells(max_n, max_m)
-        manifest = self.manifest()
-        if manifest.get("version") != SCHEMA_VERSION:
-            # Stale schema: every shard on disk is unreadable, including
-            # cells outside the requested rectangle — wipe them all so
-            # load() never sees a mixed-schema directory.
-            for stale in self.built_cells():
-                self.cell_path(*stale).unlink()
-            manifest = {"version": SCHEMA_VERSION, "cells": {}}
-        missing = [
-            cell for cell in cells if force or not self.has_cell(*cell)
-        ]
-        # Heal manifest entries for reused shards (e.g. after a build that
-        # wrote shards but was interrupted before the manifest write).
-        # A shard that turns out unreadable is recomputed, not reused.
-        noted = manifest.setdefault("cells", {})
-        # Prune stale manifest entries whose shard vanished: stats() must
-        # never report nodes that load() cannot produce.
-        on_disk = {f"{n},{m}" for n, m in self.built_cells()}
-        for stale_key in [key for key in noted if key not in on_disk]:
-            del noted[stale_key]
-        for n, m in sorted(set(cells) - set(missing)):
-            if f"{n},{m}" not in noted:
-                try:
-                    with open(self.cell_path(n, m), encoding="utf-8") as handle:
-                        payload = json.load(handle)
-                    if payload.get("version") != SCHEMA_VERSION:
-                        raise ValueError("stale shard schema")
-                    self._note_cell(manifest, payload)
-                except (OSError, ValueError, KeyError, TypeError):
-                    # Torn, malformed, wrong-shape or stale-schema shard:
-                    # recompute it instead of reusing it.
-                    missing.append((n, m))
-        if missing:
-            if jobs and len(missing) > 1:
-                shards = partition_cells(missing, jobs)
-                with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-                    for payloads in pool.map(_build_cell_shard, shards):
-                        for payload in payloads:
-                            self.write_cell_payload(payload)
-                            self._note_cell(manifest, payload)
-            else:
-                for payload in _build_cell_shard(missing):
-                    self.write_cell_payload(payload)
-                    self._note_cell(manifest, payload)
+        stored = set(self.built_cells())
+        missing = [cell for cell in cells if cell not in stored]
+        if jobs and len(missing) > 1:
+            shards = partition_cells(missing, jobs)
+            with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+                for payloads in pool.map(_build_cell_shard, shards):
+                    for payload in payloads:
+                        self._write_cell(payload)
+        else:
+            for n, m in missing:
+                self._write_cell(cell_to_payload(build_cell(n, m)))
         report = BuildReport(
             max_n=max_n,
             max_m=max_m,
@@ -372,223 +223,101 @@ class UniverseStore:
             jobs=jobs,
             seconds=time.perf_counter() - started,
         )
-        manifest["last_build"] = {
-            "max_n": max_n,
-            "max_m": max_m,
-            "jobs": jobs,
-            "cells_built": report.cells_built,
-            "cells_reused": report.cells_reused,
-            "seconds": report.seconds,
-        }
-        self._write_manifest(manifest)
-        self._invalidate_read_caches()
+        with self._db.transaction() as connection:
+            last_build = {
+                "max_n": max_n,
+                "max_m": max_m,
+                "jobs": jobs,
+                "cells_built": report.cells_built,
+                "cells_reused": report.cells_reused,
+                "seconds": report.seconds,
+            }
+            self._db.set_meta(connection, "last_build", json.dumps(last_build))
         return report
 
-    @staticmethod
-    def _note_cell(manifest: dict, payload: dict) -> None:
-        manifest.setdefault("cells", {})[f"{payload['n']},{payload['m']}"] = {
-            "nodes": len(payload["nodes"]),
-            "edges": len(payload["edges"]),
-        }
+    def _write_cell(self, payload: dict) -> None:
+        """Commit one cell (its row, nodes and certificates) atomically."""
+        n, m = payload["n"], payload["m"]
+        with self._db.transaction() as connection:
+            connection.execute(
+                "INSERT OR REPLACE INTO cells "
+                "(n, m, node_count, edge_count, edges) VALUES (?, ?, ?, ?, ?)",
+                (n, m, len(payload["nodes"]), len(payload["edges"]),
+                 json.dumps(payload["edges"])),
+            )
+            connection.executemany(
+                "INSERT OR REPLACE INTO nodes (n, m, low, high, idx, payload) "
+                "VALUES (?, ?, ?, ?, ?, ?)",
+                (
+                    (n, m, raw["key"][2], raw["key"][3], idx, json.dumps(raw))
+                    for idx, raw in enumerate(payload["nodes"])
+                ),
+            )
+            connection.executemany(
+                "INSERT OR REPLACE INTO certificates (n, m, cert_id, payload) "
+                "VALUES (?, ?, ?, ?)",
+                (
+                    (n, m, cert_id, json.dumps(cert))
+                    for cert_id, cert in payload["certificates"].items()
+                ),
+            )
+            self._store_fingerprint(connection)
+        self._invalidate_read_caches()
+
+    def _store_fingerprint(self, connection) -> None:
+        """Recompute the content fingerprint inside a write transaction."""
+        self._db.set_meta(
+            connection,
+            "fingerprint",
+            store_fingerprint(self.built_cells(), self.read_overrides()),
+        )
 
     # -- read caches and fingerprinting ---------------------------------
 
     def fingerprint(self) -> str:
-        """Content fingerprint of the store's current read inputs.
+        """Content fingerprint of the store (schema, cells, overrides).
 
-        Computed from the sorted cell list, the shard schema version and
-        the overrides document — no manifest or shard is parsed.  Cached
-        per instance; mutating entry points (``build``, ``close_open``,
-        ``pack``) invalidate it.
+        Stored by every write that changes content, so reading it is one
+        row; memoized per instance until this instance mutates the store
+        or :meth:`open_readonly` revalidates it.
         """
         if self._fingerprint is None:
-            self._fingerprint = store_fingerprint(
-                self.built_cells(), self.read_overrides(), SCHEMA_VERSION
-            )
+            self._fingerprint = self._stored_fingerprint()
         return self._fingerprint
 
+    def _stored_fingerprint(self) -> str:
+        return self._db.meta("fingerprint") or store_fingerprint([], {})
+
     def _invalidate_read_caches(self) -> None:
-        """Drop fingerprint/pack/graph/overrides memos after a mutation."""
-        if self._pack is not None:
-            self._pack.close()
-        self._pack = None
-        self._pack_unusable = False
+        """Drop fingerprint/graph/overrides memos after a mutation."""
         self._fingerprint = None
         self._overrides_doc = None
         self._graph_cache = None
 
     @classmethod
-    def open_readonly(
-        cls, root: str | Path, backend: str = "auto"
-    ) -> "UniverseStore":
+    def open_readonly(cls, root: str | Path) -> "UniverseStore":
         """A process-memoized store for query-path call sites.
 
         Repeated opens of the same root return the same instance, so hot
-        state — the opened pack, the assembled graph from
-        :meth:`load_cached`, the overrides document — survives across
-        call sites that used to construct a throwaway store (and re-read
-        the manifest) per query.  Each open revalidates the cheap
-        fingerprint; if the store changed on disk since the last open,
-        the stale read caches are dropped.
+        state — the assembled graph from :meth:`load_cached`, the
+        overrides document — survives across call sites.  Each open
+        revalidates: a store file replaced on disk is reconnected, and a
+        changed content fingerprint drops the stale read caches.
         """
-        key = (str(Path(root).resolve()), backend)
+        key = str(Path(root).resolve())
         store = cls._READONLY.get(key)
         if store is None:
-            store = cls(root, backend=backend)
-            cls._READONLY[key] = store
+            store = cls._READONLY[key] = cls(root)
         else:
-            fresh = store_fingerprint(
-                store.built_cells(), store.read_overrides(), SCHEMA_VERSION
-            )
+            fresh = store._stored_fingerprint()
             if fresh != store._fingerprint:
                 store._invalidate_read_caches()
                 store._fingerprint = fresh
         return store
 
-    # -- pack (the binary read backend) ---------------------------------
-
-    def pack(self, force: bool = False) -> PackReport:
-        """Compile the JSON shards (+ overrides) into ``pack.sqlite``.
-
-        A pack whose recorded fingerprint already matches the store is
-        left untouched unless ``force``; a corrupt or stale pack is
-        simply recompiled (the shards are the source of truth).  Raises
-        ``FileNotFoundError`` when the store holds no cells.
-        """
-        started = time.perf_counter()
-        cells = self.built_cells()
-        if not cells:
-            raise FileNotFoundError(
-                f"universe store at {self.root} has no built cells; run "
-                "`python -m repro universe build` first"
-            )
-        self._invalidate_read_caches()
-        fingerprint = self.fingerprint()
-        if not force and self.pack_path.is_file():
-            try:
-                current = UniversePack(self.pack_path)
-            except PackError:
-                pass  # unreadable pack: fall through and recompile it
-            else:
-                try:
-                    if current.fingerprint == fingerprint:
-                        stats = current.stats()
-                        return PackReport(
-                            path=str(self.pack_path),
-                            cells=stats["cells"],
-                            nodes=stats["nodes"],
-                            edges=0,
-                            certificates=stats["certificates"],
-                            overrides=stats["overrides"],
-                            seconds=time.perf_counter() - started,
-                            skipped=True,
-                        )
-                except PackError:
-                    pass
-                finally:
-                    current.close()
-        counts = write_pack(
-            self.pack_path,
-            (self._read_payload_or_heal(n, m) for n, m in cells),
-            self.read_overrides(),
-            fingerprint,
-        )
-        return PackReport(
-            path=str(self.pack_path),
-            cells=counts["cells"],
-            nodes=counts["nodes"],
-            edges=counts["edges"],
-            certificates=counts["certificates"],
-            overrides=counts["overrides"],
-            seconds=time.perf_counter() - started,
-        )
-
-    def _read_payload_or_heal(self, n: int, m: int) -> dict:
-        """One shard's raw payload, recomputing it when unreadable."""
-        try:
-            with open(self.cell_path(n, m), encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload.get("version") != SCHEMA_VERSION:
-                raise ValueError("stale shard schema")
-            if not isinstance(payload.get("nodes"), list):
-                raise ValueError("wrong shard shape")
-            return payload
-        except (OSError, ValueError, KeyError, TypeError):
-            payload = cell_to_payload(build_cell(n, m))
-            self.write_cell_payload(payload)
-            manifest = self.manifest()
-            self._note_cell(manifest, payload)
-            self._write_manifest(manifest)
-            return payload
-
-    def _open_pack(self) -> UniversePack | None:
-        """The opened pack, or None (with one loud warning) when unusable.
-
-        ``backend="json"`` never opens a pack.  ``"binary"`` warns even
-        when the pack file is simply absent; ``"auto"`` stays quiet in
-        that case and only warns when a pack exists but is corrupt or
-        stale.  The negative result is memoized until the next
-        mutation/revalidation so a point-lookup loop does not re-warn
-        per call.
-        """
-        if self.backend == "json":
-            return None
-        if self._pack is not None:
-            return self._pack
-        if self._pack_unusable:
-            return None
-        self._pack_unusable = True  # until proven otherwise
-        if not self.pack_path.is_file():
-            if self.backend == "binary":
-                warnings.warn(
-                    f"universe store {self.root} has no {PACK_FILENAME}; "
-                    "run `python -m repro universe pack` — falling back to "
-                    "JSON shards",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            return None
-        try:
-            pack = UniversePack(self.pack_path)
-        except PackError as error:
-            warnings.warn(
-                f"universe pack is unusable ({error}); falling back to "
-                "JSON shards — re-run `python -m repro universe pack`",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        if pack.fingerprint != self.fingerprint():
-            pack.close()
-            warnings.warn(
-                f"universe pack at {self.pack_path} is stale (the store "
-                "changed since it was compiled); falling back to JSON "
-                "shards — re-run `python -m repro universe pack`",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        self._pack = pack
-        self._pack_unusable = False
-        return pack
-
-    def _pack_failed(self, error: Exception) -> None:
-        """Demote a mid-read pack failure to the JSON fallback, loudly."""
-        warnings.warn(
-            f"universe pack read failed ({error}); falling back to JSON "
-            "shards — re-run `python -m repro universe pack`",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        if self._pack is not None:
-            self._pack.close()
-        self._pack = None
-        self._pack_unusable = True
-
-    @property
-    def active_backend(self) -> str:
-        """The representation reads actually use right now."""
-        return "binary" if self._open_pack() is not None else "json"
+    def pack(self) -> None:
+        """Checkpoint the write-ahead log into the store file."""
+        self._db.checkpoint()
 
     # -- point lookups ---------------------------------------------------
 
@@ -601,70 +330,31 @@ class UniverseStore:
         rectangle; raises ``ValueError`` for infeasible parameters.
         Close-open overrides are applied.  Warm lookups come out of the
         process-wide hot-node LRU with no file read at all; a cold
-        lookup on the binary backend is one indexed SQLite row, while
-        the JSON path parses the containing cell once and primes every
-        node of it.
+        lookup is one indexed row.
         """
         from .query import canonical_task_key
 
         key = canonical_task_key(n, m, low, high)
-        prefix = (str(self.root), self.fingerprint())
-        cache_key = prefix + key
+        cache_key = (str(self.root), self.fingerprint()) + key
         cached = HOT_CELLS.get(cache_key)
         if cached is not None:
             return None if cached is _ABSENT else cached
-        pack = self._open_pack()
-        if pack is not None:
-            try:
-                raw = pack.node_payload(*key)
-            except PackError as error:
-                self._pack_failed(error)
-            else:
-                node = (
-                    self._override_node(node_from_payload(raw))
-                    if raw is not None
-                    else None
-                )
-                HOT_CELLS.put(cache_key, _ABSENT if node is None else node)
-                return node
-        nodes = self._cell_nodes(key[0], key[1])
-        for (low_, high_), node in nodes.items():
-            HOT_CELLS.put(prefix + (key[0], key[1], low_, high_), node)
-        node = nodes.get((key[2], key[3]))
-        if node is None:
-            HOT_CELLS.put(cache_key, _ABSENT)
+        rows = self._db.rows(
+            "SELECT payload FROM nodes "
+            "WHERE n = ? AND m = ? AND low = ? AND high = ?",
+            key,
+        )
+        node = (
+            self._override_node(node_from_payload(self._db.loads(rows[0][0])))
+            if rows
+            else None
+        )
+        HOT_CELLS.put(cache_key, _ABSENT if node is None else node)
         return node
-
-    def _cell_nodes(
-        self, n: int, m: int
-    ) -> dict[tuple[int, int], UniverseNode]:
-        """One cell's nodes with overrides applied (empty when absent)."""
-        payloads: list[dict] | None = None
-        pack = self._open_pack()
-        if pack is not None:
-            try:
-                payloads = pack.cell_node_payloads(n, m)
-            except PackError as error:
-                self._pack_failed(error)
-                pack = None
-        if pack is None:
-            if not self.has_cell(n, m):
-                return {}
-            payloads = [
-                node_to_payload(node) for node in self._read_or_heal(n, m).nodes
-            ]
-        if payloads is None:  # pack is current, so the cell truly is absent
-            return {}
-        nodes = {}
-        for raw in payloads:
-            node = self._override_node(node_from_payload(raw))
-            nodes[(node.low, node.high)] = node
-        return nodes
 
     def _override_node(self, node: UniverseNode) -> UniverseNode:
         """Apply the node's close-open override row, if any."""
-        overrides = self._overrides().get("overrides", {})
-        row = overrides.get(",".join(str(part) for part in node.key))
+        row = self._overrides().get("overrides", {}).get(_node_key(node.key))
         if row is not None:
             try:
                 node = replace(
@@ -678,29 +368,19 @@ class UniverseStore:
         return node
 
     def certificate_payload(self, certificate_id: str) -> dict | None:
-        """Point lookup of a certificate payload by content-hash id.
-
-        Binary backend: one indexed row.  JSON backend (or fallback):
-        scans shards via the loaded graph — correct but cold; serving
-        setups should pack.
-        """
+        """Point lookup of a certificate payload by content-hash id."""
         if not certificate_id:
             return None
-        pack = self._open_pack()
-        if pack is not None:
-            try:
-                payload = pack.certificate_payload(certificate_id)
-            except PackError as error:
-                self._pack_failed(error)
-            else:
-                if payload is not None:
-                    return payload
-                row = self._overrides().get("overrides", {})
-                for entry in row.values():
-                    if entry.get("certificate_id") == certificate_id:
-                        return entry.get("certificate")
-                return None
-        return self.load_cached().certificate_payload(certificate_id)
+        rows = self._db.rows(
+            "SELECT payload FROM certificates WHERE cert_id = ? LIMIT 1",
+            (certificate_id,),
+        )
+        if rows:
+            return self._db.loads(rows[0][0])
+        for row in self._overrides().get("overrides", {}).values():
+            if row.get("certificate_id") == certificate_id:
+                return row.get("certificate")
+        return None
 
     def _overrides(self) -> dict:
         """The overrides document, memoized per instance."""
@@ -719,6 +399,45 @@ class UniverseStore:
 
     # -- load -----------------------------------------------------------
 
+    def cell_payloads(
+        self, max_n: int | None = None, max_m: int | None = None
+    ) -> Iterator[dict]:
+        """Stored cell payloads in ascending ``(n, m)``, optionally clipped.
+
+        Each equals the :func:`cell_to_payload` dump the cell was built
+        from; three table scans serve the whole rectangle, and rows are
+        decoded one cell at a time as the payloads are consumed.
+        """
+        clip = "WHERE n <= ? AND m <= ?"
+        bounds = (
+            max_n if max_n is not None else 1 << 62,
+            max_m if max_m is not None else 1 << 62,
+        )
+        nodes: dict[tuple[int, int], list[str]] = {}
+        for n, m, blob in self._db.rows(
+            f"SELECT n, m, payload FROM nodes {clip} ORDER BY n, m, idx", bounds
+        ):
+            nodes.setdefault((n, m), []).append(blob)
+        certificates: dict[tuple[int, int], list[tuple[str, str]]] = {}
+        for n, m, cert_id, blob in self._db.rows(
+            f"SELECT n, m, cert_id, payload FROM certificates {clip}", bounds
+        ):
+            certificates.setdefault((n, m), []).append((cert_id, blob))
+        for n, m, edges in self._db.rows(
+            f"SELECT n, m, edges FROM cells {clip} ORDER BY n, m", bounds
+        ):
+            yield {
+                "version": SCHEMA_VERSION,
+                "n": n,
+                "m": m,
+                "nodes": [self._db.loads(blob) for blob in nodes.pop((n, m), ())],
+                "edges": self._db.loads(edges),
+                "certificates": {
+                    cert_id: self._db.loads(blob)
+                    for cert_id, blob in certificates.pop((n, m), ())
+                },
+            }
+
     def load(
         self,
         max_n: int | None = None,
@@ -729,92 +448,43 @@ class UniverseStore:
         """Assemble the graph from every built cell (optionally clipped).
 
         Cross-family edges are derived from the loaded cell set; raises
-        ``FileNotFoundError`` when the store holds no cells.  Unreadable
-        shards (torn writes, garbage, stale schema) self-heal: the cell
-        is recomputed, rewritten and re-noted in the manifest.  Verdict
+        ``FileNotFoundError`` when the store holds no cells.  Verdict
         overrides from a previous close-open sweep are re-applied unless
         ``apply_overrides`` is off.
-
-        On the binary backend, cells are read from the pack (no JSON
-        shard parse); any pack-level failure mid-read degrades to the
-        shard path with a warning, so ``load`` succeeds whenever the
-        shards themselves are recoverable.
         """
-        pack = self._open_pack()
-        if pack is not None:
-            try:
-                packed = [
-                    (n, m)
-                    for n, m in pack.cells()
-                    if (max_n is None or n <= max_n)
-                    and (max_m is None or m <= max_m)
-                ]
-                if packed:
-                    graph = assemble(
-                        (
-                            cell_from_payload(pack.cell_payload(n, m))
-                            for n, m in packed
-                        ),
-                        cross_family=cross_family,
-                    )
-                    if apply_overrides:
-                        self._apply_overrides(graph)
-                    return graph
-            except (PackError, ValueError, KeyError, TypeError) as error:
-                self._pack_failed(error)
         cells = [
-            (n, m)
-            for n, m in self.built_cells()
-            if (max_n is None or n <= max_n) and (max_m is None or m <= max_m)
+            cell_from_payload(payload)
+            for payload in self.cell_payloads(max_n, max_m)
         ]
         if not cells:
             raise FileNotFoundError(
                 f"universe store at {self.root} has no built cells; run "
                 "`python -m repro universe build` first"
             )
-        graph = assemble(
-            (self._read_or_heal(n, m) for n, m in cells),
-            cross_family=cross_family,
-        )
+        graph = assemble(cells, cross_family=cross_family)
         if apply_overrides:
             self._apply_overrides(graph)
         return graph
 
-    def _read_or_heal(self, n: int, m: int) -> UniverseCell:
-        """Read one shard, recomputing and rewriting it when unreadable."""
-        try:
-            return self.read_cell(n, m)
-        except (OSError, ValueError, KeyError, TypeError):
-            payload = cell_to_payload(build_cell(n, m))
-            self.write_cell_payload(payload)
-            manifest = self.manifest()
-            self._note_cell(manifest, payload)
-            self._write_manifest(manifest)
-            return cell_from_payload(payload)
-
     # -- close-open overrides -------------------------------------------
 
     def read_overrides(self) -> dict:
-        """The stored close-open overrides document (empty when absent).
+        """The close-open overrides document (empty before any sweep).
 
-        A corrupt overrides file reads as empty: overrides are a memo of
-        the close-open sweep, never the source of truth, so the heal is
-        simply to re-run ``build --close-open``.
+        Shaped ``{"version", "budget", "overrides": {"n,m,l,u": row}}``:
+        the envelope lives in ``meta``, one row per closed node.
         """
-        if not self.overrides_path.is_file():
+        envelope = self._db.meta("overrides_envelope")
+        if envelope is None:
             return {}
-        try:
-            with open(self.overrides_path, encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return {}
-        if (
-            not isinstance(data, dict)
-            or data.get("version") != SCHEMA_VERSION
-            or not isinstance(data.get("overrides"), dict)
-        ):
-            return {}
-        return data
+        document = dict(self._db.loads(envelope))
+        document["overrides"] = {
+            node_key: self._db.loads(blob)
+            for node_key, blob in self._db.rows(
+                "SELECT node_key, payload FROM overrides ORDER BY node_key"
+            )
+        }
+        return document
 
     def _apply_overrides(self, graph: UniverseGraph) -> None:
         for raw_key, entry in self.read_overrides().get("overrides", {}).items():
@@ -839,55 +509,52 @@ class UniverseStore:
         evidence: dict | None = None,
         open_entries: dict | None = None,
     ) -> int:
-        """Merge verdict rows into ``overrides.json`` and the decide cache.
+        """Commit verdict rows to the overrides and the decide cache.
 
         ``closures`` maps cell keys to rows carrying ``solvability``,
         ``reason``, ``tier``, ``procedure``, ``certificate_id`` and
         ``certificate``; ``evidence`` optionally attaches tier-4 evidence
         lines to closed keys, and ``open_entries`` warms the decide cache
-        for cells that stayed OPEN (evidence lines per key).  The merged
-        document is written atomically (tmp + rename), so a crash
-        mid-commit leaves the previous overrides intact — this is the
-        single funnel every closure producer (the in-process close-open
-        sweep and the job-queue campaign runner alike) commits through,
-        which is what makes replaying a campaign idempotent.  Returns the
-        number of override rows written.
+        for cells that stayed OPEN (evidence lines per key).  Override
+        rows, decide-cache rows and the new fingerprint commit in one
+        transaction — this is the single funnel every closure producer
+        (the in-process close-open sweep and the job-queue campaign
+        runner alike) commits through, which is what makes replaying a
+        campaign idempotent.  Returns the number of override rows
+        written.
         """
         evidence = evidence or {}
         if not closures and not open_entries:
-            # Nothing to commit: leave the document (and its budget
+            # Nothing to commit: leave the overrides (and their budget
             # stamp) untouched so replaying a finished campaign is a
-            # true no-op — same overrides bytes, same fingerprint.
+            # true no-op — same overrides, same fingerprint.
             return 0
-        overrides: dict[str, dict] = dict(
-            self.read_overrides().get("overrides", {})
-        )
         cache_entries: dict[tuple, dict] = {}
         for key, row in sorted(closures.items()):
-            overrides[",".join(str(part) for part in key)] = dict(row)
             cache_entries[key] = {
                 **row,
                 "evidence": list(evidence.get(key, ())),
                 "budget": budget_signature,
             }
         for key, entry in sorted((open_entries or {}).items()):
-            if key in closures:
-                continue
-            cache_entries[key] = {**entry, "budget": budget_signature}
-        document = {
-            "version": SCHEMA_VERSION,
-            "budget": budget_signature,
-            "overrides": overrides,
-        }
-        self.root.mkdir(parents=True, exist_ok=True)
-        staging = self.overrides_path.with_suffix(".json.tmp")
-        with open(staging, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        staging.replace(self.overrides_path)
-        self._invalidate_read_caches()
-        if cache_entries:
+            if key not in closures:
+                cache_entries[key] = {**entry, "budget": budget_signature}
+        with self._db.transaction() as connection:
+            connection.executemany(
+                "INSERT OR REPLACE INTO overrides (node_key, payload) "
+                "VALUES (?, ?)",
+                (
+                    (_node_key(key), json.dumps(row))
+                    for key, row in sorted(closures.items())
+                ),
+            )
+            envelope = {"version": SCHEMA_VERSION, "budget": budget_signature}
+            self._db.set_meta(
+                connection, "overrides_envelope", json.dumps(envelope)
+            )
             self.decision_cache.put_many(cache_entries)
+            self._store_fingerprint(connection)
+        self._invalidate_read_caches()
         return len(closures)
 
     def close_open(self, budget=None, jobs: int = 0):
@@ -896,8 +563,8 @@ class UniverseStore:
         Loads the graph *with* previous overrides applied — already
         persisted closures stay closed and seed further propagation —
         closes what the budgeted empirical tier and reduction closure
-        can, then merges the new verdicts into ``overrides.json`` and
-        mirrors them (and the OPEN evidence) into the decision cache so
+        can, then commits the new verdicts to the overrides and mirrors
+        them (and the OPEN evidence) into the decision cache so
         ``decide`` calls are warm.  A re-run with a smaller budget can
         therefore never lose a previously certified closure.  Returns
         the :class:`repro.decision.procedures.CloseOpenReport`.
@@ -949,23 +616,21 @@ class UniverseStore:
         return report
 
     def stats(self) -> dict:
-        """Store-level summary from the manifest and directory listing."""
-        manifest = self.manifest()
-        cells = self.built_cells()
-        noted = manifest.get("cells", {})
-        overrides = self.read_overrides()
+        """Store-level summary counts, from the store file alone."""
+        (cells, max_n, max_m, nodes, edges), = self._db.rows(
+            "SELECT COUNT(*), COALESCE(MAX(n), 0), COALESCE(MAX(m), 0), "
+            "COALESCE(SUM(node_count), 0), COALESCE(SUM(edge_count), 0) "
+            "FROM cells"
+        ) or [(0, 0, 0, 0, 0)]
+        last_build = self._db.meta("last_build")
         return {
             "root": str(self.root),
-            "version": manifest.get("version"),
-            "backend": self.backend,
-            "packed": self.pack_path.is_file(),
-            "cells": len(cells),
-            "max_n": max((n for n, _ in cells), default=0),
-            "max_m": max((m for _, m in cells), default=0),
-            "nodes": sum(entry.get("nodes", 0) for entry in noted.values()),
-            "containment_edges": sum(
-                entry.get("edges", 0) for entry in noted.values()
-            ),
-            "overrides": len(overrides.get("overrides", {})),
-            "last_build": manifest.get("last_build"),
+            "version": SCHEMA_VERSION,
+            "cells": cells,
+            "max_n": max_n,
+            "max_m": max_m,
+            "nodes": nodes,
+            "containment_edges": edges,
+            "overrides": self._db.value("SELECT COUNT(*) FROM overrides", default=0),
+            "last_build": None if last_build is None else json.loads(last_build),
         }

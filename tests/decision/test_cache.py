@@ -1,8 +1,13 @@
-"""CertificateCache: shard layout, self-healing, enumeration."""
+"""CertificateCache: rows in the store file, loud damage, enumeration."""
 
-import json
+import os
+import sqlite3
+from contextlib import closing
 
-from repro.decision import CACHE_SCHEMA_VERSION, CertificateCache
+import pytest
+
+from repro.decision import CertificateCache
+from repro.universe import STORE_FILENAME, StoreError
 
 
 def entry(verdict="open", cert=None):
@@ -30,15 +35,21 @@ class TestRoundtrip:
         fresh = CertificateCache(tmp_path / "c")
         assert fresh.get((6, 3, 1, 4)) is not None
 
-    def test_put_many_writes_each_family_once(self, tmp_path):
+    def test_put_many_writes_rows_in_key_order(self, tmp_path):
         cache = CertificateCache(tmp_path / "c")
         cache.put_many({
+            (7, 2, 1, 6): entry(),
             (6, 3, 1, 4): entry(),
             (6, 3, 0, 6): entry(),
-            (7, 2, 1, 6): entry(),
         })
-        assert sorted(cache.families_on_disk()) == [(6, 3), (7, 2)]
-        assert len(list(cache.iter_entries())) == 3
+        assert [key for key, _ in cache.iter_entries()] == [
+            (6, 3, 0, 6), (6, 3, 1, 4), (7, 2, 1, 6),
+        ]
+        assert cache.stats()["entries"] == 3
+
+    def test_lives_in_the_store_file(self, tmp_path):
+        CertificateCache(tmp_path / "c").put((6, 3, 1, 4), entry())
+        assert os.listdir(tmp_path / "c")[0].startswith(STORE_FILENAME)
 
     def test_stats_counts_hits_and_misses(self, tmp_path):
         cache = CertificateCache(tmp_path / "c")
@@ -67,30 +78,28 @@ class TestRoundtrip:
         assert after["instances"] >= 1
 
 
-class TestSelfHealing:
-    def test_garbage_shard_reads_as_empty(self, tmp_path):
+class TestDamage:
+    def test_torn_row_is_a_loud_error(self, tmp_path):
         cache = CertificateCache(tmp_path / "c")
         cache.put((6, 3, 1, 4), entry())
-        cache.shard_path(6, 3).write_text("\xff not json at all")
-        fresh = CertificateCache(tmp_path / "c")
-        assert fresh.get((6, 3, 1, 4)) is None
-        fresh.put((6, 3, 1, 4), entry("trivial"))  # rewrites cleanly
-        assert CertificateCache(tmp_path / "c").get((6, 3, 1, 4)) is not None
+        path = tmp_path / "c" / STORE_FILENAME
+        with closing(sqlite3.connect(path)) as connection, connection:
+            connection.execute("UPDATE decisions SET payload = '{ torn'")
+        with pytest.raises(StoreError, match="corrupt row"):
+            cache.get((6, 3, 1, 4))
 
-    def test_stale_schema_reads_as_empty(self, tmp_path):
-        cache = CertificateCache(tmp_path / "c")
-        cache.put((6, 3, 1, 4), entry())
-        path = cache.shard_path(6, 3)
-        payload = json.loads(path.read_text())
-        payload["version"] = CACHE_SCHEMA_VERSION + 1
-        path.write_text(json.dumps(payload))
-        assert CertificateCache(tmp_path / "c").get((6, 3, 1, 4)) is None
+    def test_missing_store_reads_empty_and_creates_nothing(self, tmp_path):
+        cache = CertificateCache(tmp_path / "missing")
+        assert cache.get((6, 3, 1, 4)) is None
+        assert cache.stats()["entries"] == 0
+        cache.clear()
+        assert not (tmp_path / "missing").exists()
 
-    def test_clear_removes_disk_and_counters(self, tmp_path):
+    def test_clear_removes_rows_and_counters(self, tmp_path):
         cache = CertificateCache(tmp_path / "c")
         cache.put((6, 3, 1, 4), entry())
         cache.clear()
-        assert cache.families_on_disk() == []
+        assert list(cache.iter_entries()) == []
         assert cache.stats()["hits"] == 0
 
 

@@ -9,8 +9,9 @@ the designed failure behavior:
   ``/healthz`` stays exempt (liveness must outlive overload);
 * a torn response write kills that connection only — the next request
   is served normally;
-* pack read/row faults demote the binary backend to the JSON shards
-  with a loud ``RuntimeWarning`` and the *correct* answer;
+* a store read fault answers that one request ``500`` with a JSON
+  error naming the store file, caches nothing, and the next request
+  gets the *correct* answer;
 * a SIGKILL'd supervisor worker is restarted within the backoff budget
   while requests on surviving connections keep succeeding.
 """
@@ -18,14 +19,22 @@ the designed failure behavior:
 import socket
 import threading
 import time
-import warnings
 
 import pytest
 
-from repro.serve import BackgroundServer, ServeConfig, SupervisedServer
+from repro.serve import (
+    BackgroundServer,
+    ServeConfig,
+    SupervisedServer,
+    UniverseService,
+)
 from repro.testing import FAULTS, FaultError
-from repro.universe import UniverseStore
-from repro.universe.persist import HOT_CELLS
+from repro.universe import (
+    HOT_CELLS,
+    STORE_FILENAME,
+    UniverseStore,
+    build_rectangle,
+)
 
 DECIDE = "/decide?n=6&m=3&low=1&high=4"
 
@@ -35,14 +44,7 @@ def root(tmp_path_factory):
     root = tmp_path_factory.mktemp("serve-chaos") / "store"
     store = UniverseStore(root)
     store.build(8, 4)
-    store.pack()
     return root
-
-
-@pytest.fixture(scope="module")
-def node_keys(root):
-    graph = UniverseStore(root, backend="json").load()
-    return sorted(node.key for node in graph.nodes())
 
 
 @pytest.fixture(autouse=True)
@@ -64,14 +66,14 @@ def hold_path(path: str, seconds: float):
 
 
 def raise_fault(context):
-    raise FaultError("injected pack failure")
+    raise FaultError("injected store failure")
 
 
 class TestDeadlines:
     def test_held_request_gets_503_retry_after_not_a_hang(self, root):
         config = ServeConfig(request_timeout=0.3, retry_after=7)
         with FAULTS.injected("serve.request.hold", hold_path("/decide", 1.5)):
-            with BackgroundServer(root, backend="binary", config=config) as server:
+            with BackgroundServer(root, config=config) as server:
                 started = time.monotonic()
                 status, headers, payload = server.get(DECIDE)
                 elapsed = time.monotonic() - started
@@ -90,7 +92,7 @@ class TestDeadlines:
     def test_healthz_answers_while_every_handler_thread_is_wedged(self, root):
         config = ServeConfig(request_timeout=30.0, handler_threads=2)
         with FAULTS.injected("serve.request.hold", hold_path("/decide", 1.0)):
-            with BackgroundServer(root, backend="binary", config=config) as server:
+            with BackgroundServer(root, config=config) as server:
                 wedgers = [
                     threading.Thread(target=server.get, args=(DECIDE,))
                     for _ in range(config.handler_threads)
@@ -110,7 +112,7 @@ class TestLoadShedding:
     def test_requests_past_the_inflight_ceiling_are_shed(self, root):
         config = ServeConfig(request_timeout=10.0, max_inflight=1)
         with FAULTS.injected("serve.request.hold", hold_path("/decide", 1.0)):
-            with BackgroundServer(root, backend="binary", config=config) as server:
+            with BackgroundServer(root, config=config) as server:
                 holder_result = {}
 
                 def holder():
@@ -136,7 +138,7 @@ class TestLoadShedding:
 
     def test_service_recovers_after_saturation_clears(self, root):
         config = ServeConfig(max_inflight=1)
-        with BackgroundServer(root, backend="binary", config=config) as server:
+        with BackgroundServer(root, config=config) as server:
             for _ in range(3):
                 status, _, payload = server.get(DECIDE)
                 assert status == 200
@@ -147,7 +149,7 @@ class TestLoadShedding:
 class TestTornWrites:
     def test_truncated_response_kills_only_its_connection(self, root):
         truncate = lambda context: context["payload"][:12]  # noqa: E731
-        with BackgroundServer(root, backend="binary") as server:
+        with BackgroundServer(root) as server:
             with FAULTS.injected("serve.response.write", truncate, times=1):
                 with socket.create_connection(
                     (server.host, server.port), timeout=10
@@ -167,7 +169,7 @@ class TestTornWrites:
 
     def test_dropped_response_write(self, root):
         drop = lambda context: b""  # noqa: E731
-        with BackgroundServer(root, backend="binary") as server:
+        with BackgroundServer(root) as server:
             with FAULTS.injected("serve.response.write", drop, times=1):
                 with socket.create_connection(
                     (server.host, server.port), timeout=10
@@ -178,63 +180,39 @@ class TestTornWrites:
             assert status == 200
 
 
-class TestBackendFaults:
-    """Pack faults demote to the JSON shards — loudly, and correctly."""
+class TestStoreReadFaults:
+    """A failing store read is loud: one 500, counted, nothing cached."""
 
-    def expected(self, root, key):
-        HOT_CELLS.clear()
-        value = UniverseStore(root, backend="json").node_at(*key).solvability
-        HOT_CELLS.clear()
-        return value
+    def test_cold_decide_read_fault_is_one_500_then_recovers(self, root):
+        expected = build_rectangle(8, 4).node((6, 3, 1, 4)).solvability
+        with BackgroundServer(root) as server:
+            HOT_CELLS.clear()  # the decide below must read its row
+            with FAULTS.injected("store.read", raise_fault, times=1):
+                status, _, payload = server.get(DECIDE)
+            assert status == 500
+            assert STORE_FILENAME in payload["error"]
+            assert "injected store failure" in payload["error"]
+            assert len(HOT_CELLS) == 0  # the failure cached nothing
+            _, _, stats = server.get("/stats")
+            assert stats["endpoints"]["decide"]["errors"] == 1
+            status, _, payload = server.get(DECIDE)
+            assert status == 200
+            assert payload["solvability"] == expected
 
-    def test_pack_unreadable_at_open_falls_back_to_shards(self, root, node_keys):
-        key = node_keys[-1]
-        expected = self.expected(root, key)
-        store = UniverseStore(root, backend="binary")
-        with FAULTS.injected("backend.pack.read", raise_fault):
-            with pytest.warns(RuntimeWarning, match="falling back to\\s+JSON"):
-                node = store.node_at(*key)
-        assert node.solvability == expected
-
-    def test_pack_read_failure_mid_stream_falls_back(self, root, node_keys):
-        warm_key, cold_key = node_keys[0], node_keys[-2]
-        expected = self.expected(root, cold_key)
-        store = UniverseStore(root, backend="binary")
-        assert store.node_at(*warm_key) is not None  # pack opened and healthy
-        with FAULTS.injected("backend.pack.read", raise_fault):
-            with pytest.warns(RuntimeWarning, match="pack read failed"):
-                node = store.node_at(*cold_key)
-        assert node.solvability == expected
-
-    def test_torn_pack_row_falls_back(self, root, node_keys):
-        key = node_keys[len(node_keys) // 2]
-        expected = self.expected(root, key)
-        store = UniverseStore(root, backend="binary")
-        corrupt = lambda context: context["payload"][:3]  # invalid JSON  # noqa: E731
-        with FAULTS.injected("backend.pack.row", corrupt):
-            with pytest.warns(RuntimeWarning, match="pack read failed"):
-                node = store.node_at(*key)
-        assert node.solvability == expected
-
-    def test_served_requests_stay_200_while_the_pack_faults(self, root):
-        HOT_CELLS.clear()
-        expected = UniverseStore(root, backend="json").node_at(
-            6, 3, 1, 4
-        ).solvability
-        HOT_CELLS.clear()
-        with BackgroundServer(root, backend="binary") as server:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                with FAULTS.injected("backend.pack.read", raise_fault):
-                    for _ in range(3):
-                        status, _, payload = server.get(DECIDE)
-                        assert status == 200
-                        assert payload["solvability"] == expected
+    def test_graph_endpoint_read_fault_is_one_500(self, root):
+        service = UniverseService(UniverseStore(root))
+        with FAULTS.injected("store.read", raise_fault, times=1):
+            failed = service.handle("GET", "/frontier")
+        assert failed.status == 500
+        assert STORE_FILENAME in failed.payload["error"]
+        assert service.store._graph_cache is None  # nothing half-loaded kept
+        assert service.handle("GET", "/frontier").status == 200
+        assert service.metrics.snapshot()["frontier"]["errors"] == 1
 
 
 class TestWorkerKillUnderLoad:
     def test_supervisor_absorbs_a_sigkill_under_traffic(self, root):
-        with SupervisedServer(root, workers=2, backend="binary") as server:
+        with SupervisedServer(root, workers=2) as server:
             stop = threading.Event()
             failures: list[str] = []
             successes = [0]
@@ -292,7 +270,7 @@ class TestCleanTeardown:
     """BackgroundServer.__exit__ must provably release thread+loop+port."""
 
     def test_exit_asserts_clean_thread_and_loop(self, root):
-        server = BackgroundServer(root, backend="binary")
+        server = BackgroundServer(root)
         with server:
             status, _, _ = server.get("/healthz")
             assert status == 200
@@ -300,10 +278,10 @@ class TestCleanTeardown:
         assert server._loop is not None and server._loop.is_closed()
 
     def test_same_port_reopens_immediately_after_exit(self, root):
-        with BackgroundServer(root, backend="binary") as first:
+        with BackgroundServer(root) as first:
             port = first.port
             assert first.get("/healthz")[0] == 200
         # If __exit__ leaked the socket this second bind would fail.
-        with BackgroundServer(root, backend="binary", port=port) as second:
+        with BackgroundServer(root, port=port) as second:
             assert second.port == port
             assert second.get("/healthz")[0] == 200

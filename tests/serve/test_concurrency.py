@@ -4,7 +4,7 @@ What this pins: the service answers every concurrent client correctly
 (each response compared against single-threaded ground truth computed
 up front), the per-endpoint metrics account for every request, and the
 storm does not corrupt the process-wide hot-cell LRU — lookups after
-the storm still serve exactly the JSON backend's answers.
+the storm still serve exactly the in-memory reference's answers.
 """
 
 import http.client
@@ -14,7 +14,7 @@ import threading
 import pytest
 
 from repro.serve import BackgroundServer
-from repro.universe import UniverseStore
+from repro.universe import UniverseStore, build_rectangle
 
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 25
@@ -25,21 +25,18 @@ def root(tmp_path_factory):
     root = tmp_path_factory.mktemp("serve-load") / "store"
     store = UniverseStore(root)
     store.build(8, 4)
-    store.pack()
     return root
 
 
 @pytest.fixture(scope="module")
 def node_keys(root):
-    graph = UniverseStore(root, backend="json").load()
+    graph = UniverseStore(root).load()
     return sorted(node.key for node in graph.nodes())
 
 
 def test_concurrent_decides_are_correct_and_fully_accounted(root, node_keys):
-    expected = {}
-    reference = UniverseStore(root, backend="json")
-    for key in node_keys:
-        expected[key] = reference.node_at(*key).solvability
+    reference = build_rectangle(8, 4)
+    expected = {key: reference.node(key).solvability for key in node_keys}
 
     failures: list[str] = []
     barrier = threading.Barrier(CLIENTS)
@@ -70,7 +67,7 @@ def test_concurrent_decides_are_correct_and_fully_accounted(root, node_keys):
         finally:
             connection.close()
 
-    with BackgroundServer(root, backend="binary") as server:
+    with BackgroundServer(root) as server:
         threads = [
             threading.Thread(target=client, args=(worker,))
             for worker in range(CLIENTS)
@@ -91,8 +88,8 @@ def test_concurrent_decides_are_correct_and_fully_accounted(root, node_keys):
         assert stats["endpoints"]["decide"]["errors"] == 0
 
     # The storm must not have corrupted the shared hot-cell LRU: every
-    # post-storm lookup still matches the JSON backend ground truth.
-    survivor = UniverseStore(root, backend="binary")
+    # post-storm lookup still matches the in-memory ground truth.
+    survivor = UniverseStore(root)
     for key in node_keys:
         assert survivor.node_at(*key).solvability == expected[key]
 
@@ -135,7 +132,7 @@ def test_concurrent_mixed_endpoints(root, node_keys):
         except Exception as error:  # noqa: BLE001
             errors.append(f"worker {worker}: {type(error).__name__}: {error}")
 
-    with BackgroundServer(root, backend="binary") as server:
+    with BackgroundServer(root) as server:
         threads = [
             threading.Thread(target=client, args=(worker,))
             for worker in range(CLIENTS)
@@ -161,7 +158,7 @@ def test_etag_revalidation_under_concurrency(root):
         with lock:
             results.append((status2, etag))
 
-    with BackgroundServer(root, backend="binary") as server:
+    with BackgroundServer(root) as server:
         threads = [threading.Thread(target=client) for _ in range(CLIENTS)]
         for thread in threads:
             thread.start()

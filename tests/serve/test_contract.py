@@ -13,7 +13,7 @@ import pytest
 
 from repro.serve import BackgroundServer, UniverseService
 from repro.serve.service import Response
-from repro.universe import SCHEMA_VERSION, UniverseStore
+from repro.universe import UniverseStore
 
 
 @pytest.fixture(scope="module")
@@ -21,13 +21,12 @@ def root(tmp_path_factory):
     root = tmp_path_factory.mktemp("serve") / "store"
     store = UniverseStore(root)
     store.build(8, 4)
-    store.pack()
     return root
 
 
 @pytest.fixture
 def service(root):
-    return UniverseService.open(root, backend="binary")
+    return UniverseService.open(root)
 
 
 def get(service, path, params=None, **kwargs):
@@ -47,12 +46,10 @@ class TestDecideContract:
             "reason",
             "certificate_id",
             "source",
-            "backend",
         }
         assert response.payload["task"] == [6, 3, 1, 4]
         assert response.payload["canonical"] == [6, 3, 1, 4]
         assert response.payload["source"] == "universe"
-        assert response.payload["backend"] == "binary"
         assert response.payload["solvability"] == "open"
         assert response.etag is not None and response.etag.startswith('"')
 
@@ -141,23 +138,21 @@ class TestETagRevalidation:
         root = tmp_path / "store"
         store = UniverseStore(root)
         store.build(6, 3)
-        service = UniverseService.open(root, backend="auto")
+        service = UniverseService.open(root)
         params = {"n": "6", "m": "3", "low": "1", "high": "4"}
         before = get(service, "/decide", params)
-        document = {
-            "version": SCHEMA_VERSION,
-            "budget": {},
-            "overrides": {
-                "6,3,1,4": {
+        UniverseStore(root).apply_closures(
+            {
+                (6, 3, 1, 4): {
                     "solvability": "not wait-free solvable",
                     "reason": "injected closure",
                     "certificate_id": "",
                     "certificate": None,
                 }
             },
-        }
-        (root / "overrides.json").write_text(json.dumps(document))
-        UniverseStore.open_readonly(root, backend="auto")  # revalidate
+            {},
+        )
+        UniverseStore.open_readonly(root)  # revalidate
         after = get(service, "/decide", params, if_none_match=before.etag)
         assert after.status == 200  # the old ETag no longer validates
         assert after.etag != before.etag
@@ -264,7 +259,18 @@ class TestQueryContracts:
             "mean_ms",
         }
         assert decide_row["requests"] >= 1
-        assert response.payload["store"]["active_backend"] == "binary"
+        assert set(response.payload["store"]) == {
+            "root",
+            "version",
+            "cells",
+            "max_n",
+            "max_m",
+            "nodes",
+            "containment_edges",
+            "overrides",
+            "last_build",
+            "fingerprint",
+        }
         assert "universe.hot_cells" in response.payload["caches"]
 
     def test_healthz(self, service):
@@ -397,7 +403,7 @@ class TestErrorMapping:
         assert service.handle("POST", "/decide", {}).status == 405
 
     def test_errors_are_counted(self, root):
-        service = UniverseService.open(root, backend="binary")
+        service = UniverseService.open(root)
         before = service.metrics.snapshot().get("decide", {}).get("errors", 0)
         get(service, "/decide", {"n": "x", "m": "3", "low": "1", "high": "4"})
         assert service.metrics.snapshot()["decide"]["errors"] == before + 1
@@ -405,7 +411,7 @@ class TestErrorMapping:
 
 class TestRealHTTP:
     def test_framing_over_a_socket(self, root):
-        with BackgroundServer(root, backend="binary") as server:
+        with BackgroundServer(root) as server:
             status, headers, payload = server.get(
                 "/decide?n=6&m=3&low=1&high=4"
             )
@@ -444,7 +450,7 @@ class TestRealHTTP:
     def test_malformed_request_line_gets_400(self, root):
         import socket
 
-        with BackgroundServer(root, backend="binary") as server:
+        with BackgroundServer(root) as server:
             with socket.create_connection(
                 (server.host, server.port), timeout=10
             ) as raw:
@@ -455,7 +461,7 @@ class TestRealHTTP:
     def test_keep_alive_reuses_the_connection(self, root):
         import http.client
 
-        with BackgroundServer(root, backend="binary") as server:
+        with BackgroundServer(root) as server:
             connection = http.client.HTTPConnection(
                 server.host, server.port, timeout=10
             )

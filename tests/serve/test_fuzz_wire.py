@@ -23,14 +23,13 @@ def root(tmp_path_factory):
     root = tmp_path_factory.mktemp("serve-fuzz") / "store"
     store = UniverseStore(root)
     store.build(6, 3)
-    store.pack()
     return root
 
 
 @pytest.fixture(scope="module")
 def server(root):
     config = ServeConfig(idle_timeout=2.0)
-    with BackgroundServer(root, backend="binary", config=config) as running:
+    with BackgroundServer(root, config=config) as running:
         yield running
 
 

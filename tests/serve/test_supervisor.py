@@ -28,7 +28,6 @@ def root(tmp_path_factory):
     root = tmp_path_factory.mktemp("serve-supervisor") / "store"
     store = UniverseStore(root)
     store.build(6, 3)
-    store.pack()
     return root
 
 
@@ -81,7 +80,7 @@ class TestWorkerBoard:
 
 class TestSupervisorLifecycle:
     def test_serves_and_drains_to_exit_zero_freeing_the_port(self, root):
-        with SupervisedServer(root, workers=2, backend="binary") as server:
+        with SupervisedServer(root, workers=2) as server:
             port = server.port
             status, _, payload = server.get("/healthz")
             assert status == 200 and payload["status"] == "ok"
@@ -103,7 +102,7 @@ class TestSupervisorLifecycle:
             probe.close()
 
     def test_stats_board_is_visible_from_any_worker(self, root):
-        with SupervisedServer(root, workers=2, backend="binary") as server:
+        with SupervisedServer(root, workers=2) as server:
             # Whatever worker answers, it reports the whole board.
             for _ in range(4):
                 workers = server.stats()["workers"]
@@ -111,24 +110,27 @@ class TestSupervisorLifecycle:
                 assert workers["alive"] == 2
 
     def test_sigkilled_worker_restarts_within_backoff_budget(self, root):
-        with SupervisedServer(root, workers=2, backend="binary") as server:
+        with SupervisedServer(root, workers=2) as server:
             before = set(server.worker_pids())
             victim = sorted(before)[0]
             server.kill_worker(victim)
             # First crash of a slot: backoff is backoff_base (0.1s); even
             # with scheduling slack the pair must be whole again fast.
-            assert wait_for(
-                lambda: server.stats()["workers"]["alive"] == 2
-                and server.restarts_total() >= 1,
-                timeout=10.0,
-            ), server.output
+            # Both conditions are read from one board snapshot: the parent
+            # marks the dead slot not alive before counting the restart,
+            # so a snapshot with both true shows the respawned worker.
+            def whole_again() -> bool:
+                board = server.stats()["workers"]
+                return board["alive"] == 2 and board["restarts_total"] >= 1
+
+            assert wait_for(whole_again, timeout=10.0), server.output
             after = set(server.worker_pids())
             assert victim not in after
             assert len(after) == 2
             assert "restarting in" in server.output
 
     def test_sighup_rolls_every_worker_without_dropping_the_port(self, root):
-        with SupervisedServer(root, workers=2, backend="binary") as server:
+        with SupervisedServer(root, workers=2) as server:
             before = set(server.worker_pids())
             server.signal_supervisor(signal.SIGHUP)
             assert wait_for(
@@ -147,7 +149,7 @@ class TestSupervisorLifecycle:
     )
     def test_inherited_fd_mode_serves_and_recovers(self, root):
         with SupervisedServer(
-            root, workers=2, backend="binary", reuse_port=False
+            root, workers=2, reuse_port=False
         ) as server:
             assert "inherited-fd" in server.output
             status, _, payload = server.get(DECIDE)
@@ -169,7 +171,6 @@ class TestEnvFaultSeam:
         with SupervisedServer(
             root,
             workers=2,
-            backend="binary",
             faults="serve.worker.kill=exit:after=4",
         ) as server:
             observed = 0

@@ -287,6 +287,20 @@ class TestDecideCommand:
                      "--dir", str(tmp_path / "u")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_decide_names_an_unreadable_store_then_decides(
+        self, capsys, tmp_path
+    ):
+        store_dir = tmp_path / "u"
+        store_dir.mkdir()
+        (store_dir / "universe.sqlite").write_bytes(b"not a database" * 256)
+        assert main(["decide", "6", "3", "0", "6",
+                     "--dir", str(store_dir)]) == 0
+        captured = capsys.readouterr()
+        assert "verdict: " in captured.out
+        [line] = captured.err.strip().splitlines()
+        assert str(store_dir) in line and "universe.sqlite" in line
+        assert "not a database" in line
+
 
 class TestUniverseCheckCommand:
     def test_check_replays_store_certificates(self, capsys, tmp_path):

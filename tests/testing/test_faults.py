@@ -110,11 +110,11 @@ class TestSpecGrammar:
 
     def test_multiple_clauses_and_whitespace(self):
         arms = parse_spec(
-            " backend.pack.read=raise:times=3 ; "
+            " store.read=raise:times=3 ; "
             "serve.request.hold=delay:seconds=0.01 ;"
         )
         assert [arm[0] for arm in arms] == [
-            "backend.pack.read", "serve.request.hold",
+            "store.read", "serve.request.hold",
         ]
         assert arms[0][3] == 3
 
@@ -131,7 +131,7 @@ class TestSpecGrammar:
 
     def test_raise_action_raises_fault_error(self):
         (_, action, _, _), = parse_spec(
-            "backend.pack.read=raise:message=torn read"
+            "store.read=raise:message=torn read"
         )
         with pytest.raises(FaultError, match="torn read"):
             action({})

@@ -1,12 +1,12 @@
-"""Differential pinning: the binary backend vs the JSON shards.
+"""Differential pinning: the store file against an independent reference.
 
-The pack (``pack.sqlite``) is a *compilation* of the JSON store, so its
-contract is byte-identity: every cell payload, node, edge, verdict and
-certificate the binary backend serves must be exactly what the JSON
-backend serves, across the full ``--max-n 20 --max-m 6`` universe, and
-must stay identical through incremental widening rebuilds and
-close-open override documents.  These tests are the serving-layer
-counterpart of PR 5's compiled-core differential suite.
+The reference never touches disk: every cell is ``build_cell(n, m)``
+dumped by ``cell_to_payload``, and the graph is ``assemble`` over those
+cells.  The store is built *incrementally* (18x6, then widened to 20x6)
+so the comparison covers cells reused across builds, and every cell
+payload, node, edge, verdict and certificate read back from
+``universe.sqlite`` must equal the reference exactly — with and without
+close-open overrides applied.
 """
 
 import json
@@ -15,8 +15,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.universe import SCHEMA_VERSION, UniverseStore
-from repro.universe.backend import UniversePack
+from repro.universe import (
+    HOT_CELLS,
+    UniverseStore,
+    assemble,
+    build_cell,
+    canonical_task_key,
+    rectangle_cells,
+)
+from repro.universe.persist import cell_to_payload
 
 MAX_N, MAX_M = 20, 6
 
@@ -39,87 +46,73 @@ def graph_signature(graph):
     )
 
 
+def canonical_json(value):
+    return json.dumps(value, sort_keys=True)
+
+
 @pytest.fixture(scope="module")
-def packed_root(tmp_path_factory):
-    """The full universe, built *incrementally* (18x6 then widened to
-    20x6) so the pack compiles a store containing reused shards, then
-    packed."""
+def reference():
+    """``(n, m) -> UniverseCell`` for the whole rectangle, in memory."""
+    return {cell: build_cell(*cell) for cell in rectangle_cells(MAX_N, MAX_M)}
+
+
+@pytest.fixture(scope="module")
+def reference_graph(reference):
+    return assemble(reference[cell] for cell in sorted(reference))
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory):
     root = tmp_path_factory.mktemp("differential") / "store"
     store = UniverseStore(root)
     store.build(MAX_N - 2, MAX_M)
     widened = store.build(MAX_N, MAX_M)
-    assert widened.cells_reused > 0  # the widening actually reused shards
-    report = store.pack()
-    assert not report.skipped and report.cells == MAX_N * MAX_M
-    return root
+    assert widened.cells_reused == (MAX_N - 2) * MAX_M
+    assert widened.cells_built == 2 * MAX_M
+    return store
 
 
-@pytest.fixture(scope="module")
-def json_store(packed_root):
-    return UniverseStore(packed_root, backend="json")
-
-
-@pytest.fixture(scope="module")
-def binary_store(packed_root):
-    return UniverseStore(packed_root, backend="binary")
-
-
-class TestByteIdentity:
-    def test_every_cell_payload_is_byte_identical(self, packed_root, json_store):
-        pack = UniversePack(json_store.pack_path)
-        cells = json_store.built_cells()
-        assert pack.cells() == cells
-        for n, m in cells:
-            shard = json.loads(json_store.cell_path(n, m).read_text())
-            packed = pack.cell_payload(n, m)
-            assert json.dumps(shard, sort_keys=True) == json.dumps(
-                packed, sort_keys=True
-            ), f"cell ({n}, {m}) diverges between pack and shard"
-        pack.close()
-
-    def test_full_graph_identical_across_backends(
-        self, json_store, binary_store
-    ):
-        assert binary_store.active_backend == "binary"
-        assert graph_signature(json_store.load()) == graph_signature(
-            binary_store.load()
-        )
-
-    def test_every_node_point_lookup_identical(self, json_store, binary_store):
-        # _cell_nodes bypasses the shared hot-node LRU (keyed on
-        # root+fingerprint, not backend), so this genuinely reads the
-        # pack rows on one side and the shard parse on the other.
-        assert binary_store.active_backend == "binary"
-        total = 0
-        for n, m in json_store.built_cells():
-            from_json = json_store._cell_nodes(n, m)
-            from_binary = binary_store._cell_nodes(n, m)
-            assert from_json == from_binary, f"cell ({n}, {m}) diverges"
-            total += len(from_json)
-        assert total > 1000  # the full universe, not a toy slice
-        # And through the public point-lookup API.
-        nodes = list(json_store.load().nodes())
-        for node in nodes:
-            assert binary_store.node_at(*node.key) == node
-
-    def test_every_certificate_identical(self, json_store, binary_store):
-        graph = json_store.load()
-        ids = sorted(
-            {node.certificate_id for node in graph.nodes() if node.certificate_id}
-        )
-        assert ids  # the universe carries certificates to compare
-        for certificate_id in ids:
-            from_json = json_store.certificate_payload(certificate_id)
-            from_binary = binary_store.certificate_payload(certificate_id)
-            assert from_json is not None
-            assert json.dumps(from_json, sort_keys=True) == json.dumps(
-                from_binary, sort_keys=True
+class TestAgainstReference:
+    def test_every_cell_payload_equals_the_reference(self, store, reference):
+        payloads = list(store.cell_payloads())
+        assert [(p["n"], p["m"]) for p in payloads] == sorted(reference)
+        for payload in payloads:
+            expected = cell_to_payload(reference[(payload["n"], payload["m"])])
+            assert canonical_json(payload) == canonical_json(expected), (
+                f"cell ({payload['n']}, {payload['m']}) diverges"
             )
 
-    def test_clipped_load_identical(self, json_store, binary_store):
-        assert graph_signature(
-            json_store.load(max_n=7, max_m=3)
-        ) == graph_signature(binary_store.load(max_n=7, max_m=3))
+    def test_loaded_graph_equals_the_reference(self, store, reference_graph):
+        assert graph_signature(store.load()) == graph_signature(
+            reference_graph
+        )
+
+    def test_every_point_lookup_equals_the_reference(
+        self, store, reference_graph
+    ):
+        HOT_CELLS.clear()  # every lookup below reads its row cold
+        nodes = list(reference_graph.nodes())
+        assert len(nodes) > 1000  # the full universe, not a toy slice
+        for node in nodes:
+            assert store.node_at(*node.key) == node
+
+    def test_every_certificate_equals_the_reference(
+        self, store, reference_graph
+    ):
+        ids = sorted(reference_graph.certificate_payloads)
+        assert ids  # the universe carries certificates to compare
+        for certificate_id in ids:
+            assert canonical_json(
+                store.certificate_payload(certificate_id)
+            ) == canonical_json(reference_graph.certificate_payload(certificate_id))
+
+    def test_clipped_load_equals_the_reference(self, store, reference):
+        clipped = assemble(
+            reference[(n, m)] for n, m in sorted(reference) if n <= 7 and m <= 3
+        )
+        assert graph_signature(store.load(max_n=7, max_m=3)) == graph_signature(
+            clipped
+        )
 
 
 class TestPropertyLookups:
@@ -130,97 +123,69 @@ class TestPropertyLookups:
         high=st.integers(min_value=-2, max_value=MAX_N + 2),
     )
     def test_arbitrary_point_lookup_agrees(
-        self, json_store, binary_store, n, m, low, high
+        self, store, reference_graph, n, m, low, high
     ):
         try:
-            expected = json_store.node_at(n, m, low, high)
+            key = canonical_task_key(n, m, low, high)
         except ValueError:
             with pytest.raises(ValueError):
-                binary_store.node_at(n, m, low, high)
+                store.node_at(n, m, low, high)
             return
-        assert binary_store.node_at(n, m, low, high) == expected
+        expected = reference_graph.node(key) if key in reference_graph else None
+        assert store.node_at(n, m, low, high) == expected
 
 
-class TestWideningAndOverrides:
-    def test_widening_after_pack_falls_back_then_repacks_identical(
-        self, tmp_path
-    ):
-        root = tmp_path / "store"
-        store = UniverseStore(root)
-        store.build(4, 3)
-        store.pack()
-        store.build(6, 3)  # the pack is now stale
-        stale = UniverseStore(root, backend="binary")
-        with pytest.warns(RuntimeWarning, match="stale"):
-            graph = stale.load()
-        assert graph_signature(graph) == graph_signature(
-            UniverseStore(root, backend="json").load()
+class TestOverrides:
+    """Override rows change exactly the overridden node, on every path."""
+
+    MAX = (8, 4)
+
+    @pytest.fixture
+    def closed(self, tmp_path):
+        store = UniverseStore(tmp_path / "store")
+        store.build(*self.MAX)
+        graph = assemble(build_cell(*cell) for cell in rectangle_cells(*self.MAX))
+        node = next(
+            n for n in graph.nodes() if n.solvability == "open" and n.key[0] == 4
         )
-        store.pack()  # recompile; the fallback warning must be gone
-        import warnings
-
-        fresh = UniverseStore(root, backend="binary")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            repacked = fresh.load()
-        assert fresh.active_backend == "binary"
-        assert graph_signature(repacked) == graph_signature(graph)
-
-    def test_close_open_overrides_identical_across_backends(self, tmp_path):
-        root = tmp_path / "store"
-        store = UniverseStore(root)
-        store.build(4, 3)
-        document = {
-            "version": SCHEMA_VERSION,
-            "budget": {},
-            "overrides": {
-                "4,3,0,2": {
-                    "solvability": "wait-free solvable",
-                    "reason": "injected closure",
-                    "certificate_id": "ctest",
-                    "certificate": {"kind": "theorem"},
-                }
-            },
+        row = {
+            "solvability": "wait-free solvable",
+            "reason": "injected closure",
+            "tier": 4,
+            "procedure": "decision-map",
+            "certificate_id": "ctest",
+            "certificate": {"kind": "theorem"},
         }
-        store.overrides_path.write_text(json.dumps(document))
-        store.pack()
-        json_side = UniverseStore(root, backend="json")
-        binary_side = UniverseStore(root, backend="binary")
-        assert binary_side.active_backend == "binary"
-        assert graph_signature(json_side.load()) == graph_signature(
-            binary_side.load()
-        )
-        for reader in (json_side, binary_side):
-            node = reader.node_at(4, 3, 0, 2)
-            assert node.solvability == "wait-free solvable"
-            assert node.certificate_id == "ctest"
-        assert (
-            binary_side.certificate_payload("ctest")
-            == json_side.certificate_payload("ctest")
-            == {"kind": "theorem"}
+        store.apply_closures({node.key: row}, {"test": True})
+        return store, node.key, row
+
+    def reference(self, closed_key=None, row=None):
+        graph = assemble(build_cell(*cell) for cell in rectangle_cells(*self.MAX))
+        if closed_key is not None:
+            graph.override_node(
+                closed_key,
+                solvability=row["solvability"],
+                reason=row["reason"],
+                certificate_id=row["certificate_id"],
+                certificate_payload=row["certificate"],
+            )
+        return graph
+
+    def test_load_applies_the_override(self, closed):
+        store, key, row = closed
+        assert graph_signature(store.load()) == graph_signature(
+            self.reference(key, row)
         )
 
-    def test_new_overrides_stale_the_pack(self, tmp_path):
-        # An overrides document written *after* packing changes the
-        # fingerprint: the pack must read as stale, not serve old verdicts.
-        root = tmp_path / "store"
-        store = UniverseStore(root)
-        store.build(4, 3)
-        store.pack()
-        document = {
-            "version": SCHEMA_VERSION,
-            "budget": {},
-            "overrides": {
-                "4,3,0,2": {
-                    "solvability": "wait-free solvable",
-                    "reason": "post-pack closure",
-                    "certificate_id": "",
-                    "certificate": None,
-                }
-            },
-        }
-        store.overrides_path.write_text(json.dumps(document))
-        reader = UniverseStore(root, backend="binary")
-        with pytest.warns(RuntimeWarning, match="stale"):
-            node = reader.node_at(4, 3, 0, 2)
-        assert node.solvability == "wait-free solvable"
+    def test_load_without_overrides_equals_the_plain_reference(self, closed):
+        store, _, _ = closed
+        assert graph_signature(
+            store.load(apply_overrides=False)
+        ) == graph_signature(self.reference())
+
+    def test_point_lookups_apply_the_override(self, closed):
+        store, key, row = closed
+        expected = self.reference(key, row)
+        for node in expected.nodes():
+            assert store.node_at(*node.key) == node
+        assert store.certificate_payload("ctest") == {"kind": "theorem"}

@@ -1,19 +1,21 @@
 """Adversarial tests: ``universe check`` must catch tampered overrides.
 
-The override rows in ``overrides.json`` are the store's mutable surface
-— close-open and sweep campaigns append to them — so the checker treats
-each row adversarially: the row's claim is only accepted when its own
-certificate proves it.  These tests edit the document the way an
-attacker (or a bad merge) would, bypassing ``apply_closures``, and
-assert the check fails loudly.
+The override rows in the store file's ``overrides`` table are the
+store's mutable surface — close-open and sweep campaigns append to them
+— so the checker treats each row adversarially: the row's claim is only
+accepted when its own certificate proves it.  These tests edit the rows
+through ``sqlite3`` the way an attacker (or a bad merge) would,
+bypassing ``apply_closures``, and assert the check fails loudly.
 """
 
 import json
+import sqlite3
+from contextlib import closing
 
 import pytest
 
 from repro.__main__ import main
-from repro.universe import UniverseStore
+from repro.universe import STORE_FILENAME, UniverseStore
 
 
 @pytest.fixture(scope="module")
@@ -42,20 +44,37 @@ def root(tmp_path_factory):
     return root
 
 
+def write_rows(path, rows):
+    with closing(sqlite3.connect(path)) as connection, connection:
+        connection.execute("DELETE FROM overrides")
+        connection.executemany("INSERT INTO overrides VALUES (?, ?)", rows)
+
+
 @pytest.fixture
 def overrides_path(root):
-    """Hand each test a pristine document; restore it afterwards."""
-    path = root / "overrides.json"
-    pristine = path.read_text()
+    """Hand each test pristine override rows; restore them afterwards."""
+    path = root / STORE_FILENAME
+    with closing(sqlite3.connect(path)) as connection:
+        pristine = connection.execute(
+            "SELECT node_key, payload FROM overrides"
+        ).fetchall()
     yield path
-    path.write_text(pristine)
+    write_rows(path, pristine)
 
 
 def tamper(path, mutate):
-    document = json.loads(path.read_text())
-    raw_key, row = next(iter(document["overrides"].items()))
-    mutate(document["overrides"], raw_key, row)
-    path.write_text(json.dumps(document))
+    with closing(sqlite3.connect(path)) as connection:
+        overrides = {
+            key: json.loads(blob)
+            for key, blob in connection.execute(
+                "SELECT node_key, payload FROM overrides"
+            )
+        }
+    raw_key, row = next(iter(overrides.items()))
+    mutate(overrides, raw_key, row)
+    write_rows(
+        path, [(key, json.dumps(row)) for key, row in overrides.items()]
+    )
 
 
 def check(root):

@@ -1,4 +1,4 @@
-"""Tests for the disk-backed incremental universe store."""
+"""Tests for the incremental universe store (one SQLite file)."""
 
 import json
 
@@ -11,6 +11,17 @@ from repro.universe import (
     build_rectangle,
 )
 from repro.universe.persist import cell_from_payload, cell_to_payload
+
+
+def closure(reason="injected closure", certificate=None):
+    return {
+        "solvability": "wait-free solvable",
+        "reason": reason,
+        "tier": 4,
+        "procedure": "decision-map",
+        "certificate_id": "ctest",
+        "certificate": certificate or {"kind": "theorem"},
+    }
 
 
 def graph_signature(graph):
@@ -66,25 +77,11 @@ class TestIncrementalBuild:
         forced = store.build(4, 3, force=True)
         assert forced.cells_built == forced.cells_total
 
-    def test_schema_bump_forces_rebuild(self, tmp_path):
-        store = UniverseStore(tmp_path / "u")
-        store.build(4, 3)
-        manifest = store.manifest()
-        manifest["version"] = SCHEMA_VERSION - 1
-        store._write_manifest(manifest)
-        rebuilt = store.build(4, 3)
-        assert rebuilt.cells_built == rebuilt.cells_total
-        assert store.manifest()["version"] == SCHEMA_VERSION
-
-    def test_schema_bump_wipes_out_of_rectangle_shards(self, tmp_path):
-        # A stale-schema store must not keep unreadable shards outside
-        # the rebuilt rectangle: load() reads every shard on disk.
+    def test_force_recreates_the_store_file(self, tmp_path):
         store = UniverseStore(tmp_path / "u")
         store.build(6, 4)
-        manifest = store.manifest()
-        manifest["version"] = SCHEMA_VERSION - 1
-        store._write_manifest(manifest)
-        store.build(4, 3)  # narrower rectangle than what is on disk
+        store.build(4, 3, force=True)
+        # A forced build starts from an empty file: only its rectangle.
         assert store.built_cells() == [
             (n, m) for n in range(1, 5) for m in range(1, 4)
         ]
@@ -92,31 +89,13 @@ class TestIncrementalBuild:
             build_rectangle(4, 3)
         )
 
-    def test_truncated_shard_is_recomputed(self, tmp_path):
-        # Shard writes are atomic, but defend against torn files anyway:
-        # an unreadable reused shard must be rebuilt, not trusted.
+    def test_stats_follow_a_widening_build(self, tmp_path):
         store = UniverseStore(tmp_path / "u")
         store.build(5, 3)
-        store.manifest_path.unlink()
-        store.cell_path(4, 2).write_text('{"version":')  # torn write
-        store.cell_path(3, 2).write_text("{}\n")  # valid JSON, wrong shape
-        report = store.build(5, 3)
-        assert report.cells_built == 2
-        assert graph_signature(store.load()) == graph_signature(
-            build_rectangle(5, 3)
-        )
-
-    def test_interrupted_build_heals_manifest(self, tmp_path):
-        # Shards written but the manifest never reached disk (crash /
-        # Ctrl-C): the next build must re-note the reused cells so
-        # stats() reports real counts.
-        store = UniverseStore(tmp_path / "u")
-        store.build(5, 3)
-        store.manifest_path.unlink()
-        report = store.build(5, 3)
-        assert report.cells_built == 0
+        report = store.build(6, 3)
+        assert (report.cells_reused, report.cells_built) == (15, 3)
         stats = store.stats()
-        assert stats["nodes"] == build_rectangle(5, 3).node_count
+        assert stats["nodes"] == build_rectangle(6, 3).node_count
         assert stats["containment_edges"] > 0
 
     def test_parallel_build_matches_serial(self, tmp_path):
@@ -126,74 +105,6 @@ class TestIncrementalBuild:
         report = parallel.build(7, 4, jobs=2)
         assert report.jobs == 2
         assert graph_signature(serial.load()) == graph_signature(parallel.load())
-
-
-class TestCorruptionRecovery:
-    """Truncated shards, garbage shards, stale manifest entries and
-    schema mismatches must each self-heal to a correct rebuild."""
-
-    def test_garbage_shard_with_intact_manifest_heals_on_load(self, tmp_path):
-        # The manifest still notes the cell, so build() reuses it; load()
-        # must detect the garbage, recompute the cell and rewrite it.
-        store = UniverseStore(tmp_path / "u")
-        store.build(5, 3)
-        store.cell_path(4, 2).write_text("\xfe\xff totally not json")
-        assert graph_signature(store.load()) == graph_signature(
-            build_rectangle(5, 3)
-        )
-        # The heal is durable: the shard on disk is valid again.
-        assert store.read_cell(4, 2) == build_cell(4, 2)
-
-    def test_truncated_shard_heals_on_load(self, tmp_path):
-        store = UniverseStore(tmp_path / "u")
-        store.build(5, 3)
-        store.cell_path(3, 2).write_text('{"version":')
-        assert graph_signature(store.load()) == graph_signature(
-            build_rectangle(5, 3)
-        )
-
-    def test_single_stale_schema_shard_heals_on_load(self, tmp_path):
-        # One shard claims a different schema while the manifest is
-        # current (e.g. a partially synced directory): recompute just it.
-        store = UniverseStore(tmp_path / "u")
-        store.build(5, 3)
-        payload = json.loads(store.cell_path(4, 3).read_text())
-        payload["version"] = SCHEMA_VERSION + 1
-        store.cell_path(4, 3).write_text(json.dumps(payload))
-        assert graph_signature(store.load()) == graph_signature(
-            build_rectangle(5, 3)
-        )
-        assert store.read_cell(4, 3) == build_cell(4, 3)
-
-    def test_wrong_shape_shard_heals_on_load(self, tmp_path):
-        store = UniverseStore(tmp_path / "u")
-        store.build(4, 2)
-        store.cell_path(2, 2).write_text('{"version": %d}\n' % SCHEMA_VERSION)
-        assert graph_signature(store.load()) == graph_signature(
-            build_rectangle(4, 2)
-        )
-
-    def test_stale_manifest_entry_is_pruned_on_build(self, tmp_path):
-        # A manifest entry whose shard vanished must not inflate stats()
-        # and must be recomputed by the next build.
-        store = UniverseStore(tmp_path / "u")
-        store.build(5, 3)
-        store.cell_path(5, 2).unlink()
-        report = store.build(5, 3)
-        assert report.cells_built == 1
-        assert store.stats()["nodes"] == build_rectangle(5, 3).node_count
-        assert graph_signature(store.load()) == graph_signature(
-            build_rectangle(5, 3)
-        )
-
-    def test_healed_load_renotes_manifest(self, tmp_path):
-        store = UniverseStore(tmp_path / "u")
-        store.build(4, 2)
-        store.cell_path(3, 2).write_text("garbage")
-        store.load()
-        # stats() reads the manifest: the healed cell must be re-noted
-        # with real counts, not the garbage's.
-        assert store.stats()["nodes"] == build_rectangle(4, 2).node_count
 
 
 class TestOverrides:
@@ -221,47 +132,38 @@ class TestOverrides:
 
         store = UniverseStore(tmp_path / "u")
         store.build(4, 3)
-        document = {
-            "version": SCHEMA_VERSION,
-            "budget": {},
-            "overrides": {
-                "4,3,0,2": {
-                    "solvability": "wait-free solvable",
-                    "reason": "injected closure",
-                    "certificate_id": "ctest",
-                    "certificate": {"kind": "theorem"},
-                }
-            },
-        }
-        store.overrides_path.write_text(json.dumps(document))
+        store.apply_closures({(4, 3, 0, 2): closure()}, {})
         store.close_open(DecisionBudget(max_empirical_n=0))
         assert "4,3,0,2" in store.read_overrides()["overrides"]
         node = store.load().node((4, 3, 0, 2))
         assert node.solvability == "wait-free solvable"
 
-    def test_corrupt_overrides_file_is_ignored(self, tmp_path):
+    def test_malformed_override_row_is_skipped_at_load(self, tmp_path):
         store = UniverseStore(tmp_path / "u")
         store.build(4, 3)
-        store.overrides_path.write_text("{ not json")
+        store.apply_closures(
+            {(4, 3, 0, 2): {"reason": "no solvability"}, (9, 9, 0, 9): closure()},
+            {},
+        )
+        assert graph_signature(store.load()) == graph_signature(
+            build_rectangle(4, 3)
+        )
+
+    def test_overrides_document_shape(self, tmp_path):
+        store = UniverseStore(tmp_path / "u")
+        store.build(4, 3)
         assert store.read_overrides() == {}
-        store.load()  # must not raise
+        store.apply_closures({(4, 3, 0, 2): closure()}, {"sweep": True})
+        assert store.read_overrides() == {
+            "version": SCHEMA_VERSION,
+            "budget": {"sweep": True},
+            "overrides": {"4,3,0,2": closure()},
+        }
 
     def test_overrides_applied_at_load(self, tmp_path):
         store = UniverseStore(tmp_path / "u")
         store.build(4, 3)
-        document = {
-            "version": SCHEMA_VERSION,
-            "budget": {},
-            "overrides": {
-                "4,3,0,2": {
-                    "solvability": "wait-free solvable",
-                    "reason": "injected for the test",
-                    "certificate_id": "ctest",
-                    "certificate": {"kind": "theorem"},
-                }
-            },
-        }
-        store.overrides_path.write_text(json.dumps(document))
+        store.apply_closures({(4, 3, 0, 2): closure("injected for the test")}, {})
         node = store.load().node((4, 3, 0, 2))
         assert node.solvability == "wait-free solvable"
         assert node.certificate_id == "ctest"
@@ -272,6 +174,8 @@ class TestOverrides:
         store = UniverseStore(tmp_path / "u")
         store.build(4, 3)
         assert store.stats()["overrides"] == 0
+        store.apply_closures({(4, 3, 0, 2): closure()}, {})
+        assert store.stats()["overrides"] == 1
 
 
 class TestLoad:

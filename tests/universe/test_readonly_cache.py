@@ -1,21 +1,18 @@
 """Regression suite for the cached read path (``open_readonly``).
 
 The bug this pins: query-path call sites used to construct a throwaway
-:class:`UniverseStore` per call, re-reading the manifest (and often
-whole shards) every time.  ``open_readonly`` memoizes the store per
-resolved root, the hot-node LRU makes warm point lookups file-free, and
-``load_cached`` memoizes the assembled graph against the store
-fingerprint — so a warm lookup performs *zero* manifest or shard
-re-parses, asserted here both by poisoning the parse entry points and
-by the ``universe.hot_cells`` cache counters.
+:class:`UniverseStore` per call, re-reading the store every time.
+``open_readonly`` memoizes the store per resolved root, the hot-node LRU
+makes warm point lookups file-free, and ``load_cached`` memoizes the
+assembled graph against the store fingerprint — so a warm lookup reads
+*zero* store rows, asserted here both by poisoning the store file's read
+entry point and by the ``universe.hot_cells`` cache counters.
 """
-
-import json
 
 import pytest
 
 from repro.core.cache_config import cache_stats
-from repro.universe import SCHEMA_VERSION, UniverseStore, canonical_task_key
+from repro.universe import UniverseStore, canonical_task_key
 from repro.universe.persist import HOT_CELLS
 
 
@@ -33,7 +30,6 @@ def hot_cell_counters():
 def root(tmp_path):
     store = UniverseStore(tmp_path / "store")
     store.build(6, 3)
-    store.pack()
     return tmp_path / "store"
 
 
@@ -42,11 +38,6 @@ class TestOpenReadonly:
         first = UniverseStore.open_readonly(root)
         second = UniverseStore.open_readonly(root)
         assert first is second
-
-    def test_distinct_instances_per_backend(self, root):
-        assert UniverseStore.open_readonly(
-            root, backend="json"
-        ) is not UniverseStore.open_readonly(root, backend="binary")
 
     def test_relative_and_absolute_roots_share_one_instance(
         self, root, monkeypatch
@@ -62,23 +53,17 @@ class TestOpenReadonly:
 
 
 class TestWarmLookupIsParseFree:
-    def test_zero_manifest_or_shard_reparses_when_warm(self, root):
-        store = UniverseStore.open_readonly(root, backend="binary")
+    def test_zero_store_reads_when_warm(self, root, monkeypatch):
+        store = UniverseStore.open_readonly(root)
         cold = store.node_at(6, 3, 1, 4)
         assert cold is not None
 
-        # Warm path: poison every parse entry point — the manifest, the
-        # shard reader, and the pack's row reader.  A warm lookup must
-        # touch none of them.
+        # Warm path: poison the store file's one read entry point.  A
+        # warm lookup must not touch it.
         def forbidden(*args, **kwargs):
-            raise AssertionError("warm lookup re-parsed store state")
+            raise AssertionError("warm lookup read the store file")
 
-        store.manifest = forbidden
-        store.read_cell = forbidden
-        store._read_or_heal = forbidden
-        assert store._pack is not None
-        store._pack._rows = forbidden
-
+        monkeypatch.setattr(store._db, "rows", forbidden)
         before = hot_cell_counters()
         warm = store.node_at(6, 3, 1, 4)
         after = hot_cell_counters()
@@ -87,29 +72,16 @@ class TestWarmLookupIsParseFree:
         assert after["misses"] == before["misses"]
 
     def test_fresh_node_misses_once_then_hits(self, root):
-        store = UniverseStore.open_readonly(root, backend="binary")
+        store = UniverseStore.open_readonly(root)
         HOT_CELLS.pop(hot_key(store, 5, 3, 1, 5))
         before = hot_cell_counters()
-        store.node_at(5, 3, 1, 5)  # cold: one indexed pack row
+        store.node_at(5, 3, 1, 5)  # cold: one indexed store row
         middle = hot_cell_counters()
         assert middle["misses"] == before["misses"] + 1
         store.node_at(5, 3, 1, 5)  # warm: served from the hot-node LRU
         after = hot_cell_counters()
         assert after["hits"] == middle["hits"] + 1
         assert after["misses"] == middle["misses"]
-
-    def test_json_cold_lookup_primes_the_whole_cell(self, root):
-        # The JSON path pays one shard parse per cell, so it primes
-        # every node of the cell: a sibling lookup is already warm.
-        store = UniverseStore.open_readonly(root, backend="json")
-        for key in ((5, 3, 1, 5), (5, 3, 0, 5)):
-            HOT_CELLS.pop(hot_key(store, *key))
-        store.node_at(5, 3, 1, 5)  # cold: parses the (5, 3) shard
-        before = hot_cell_counters()
-        store.node_at(5, 3, 0, 5)  # same cell, different node: warm
-        after = hot_cell_counters()
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
 
     def test_repeated_open_readonly_does_not_reload_graph(self, root):
         graph = UniverseStore.open_readonly(root).load_cached()
@@ -131,25 +103,21 @@ class TestStalenessInvalidation:
         assert reopened.node_at(8, 3, 1, 8) is not None
 
     def test_override_written_out_of_band_is_picked_up(self, root):
-        store = UniverseStore.open_readonly(root, backend="json")
+        store = UniverseStore.open_readonly(root)
         before = store.node_at(6, 3, 1, 4)
         assert before.solvability == "open"
-        document = {
-            "version": SCHEMA_VERSION,
-            "budget": {},
-            "overrides": {
-                "6,3,1,4": {
+        UniverseStore(root).apply_closures(
+            {
+                (6, 3, 1, 4): {
                     "solvability": "not wait-free solvable",
                     "reason": "injected closure",
                     "certificate_id": "",
                     "certificate": None,
                 }
             },
-        }
-        (root / "overrides.json").write_text(json.dumps(document))
-        after = UniverseStore.open_readonly(root, backend="json").node_at(
-            6, 3, 1, 4
+            {},
         )
+        after = UniverseStore.open_readonly(root).node_at(6, 3, 1, 4)
         assert after.solvability == "not wait-free solvable"
 
     def test_hot_cells_are_fingerprint_keyed(self, root):
