@@ -8,12 +8,23 @@ store with a real OPEN cell), and the resume-overhead pass: re-running
 what every restart of a long sweep pays before doing new work.  The
 assertions pin queue invariants and campaign outcomes, so a protocol
 regression fails the suite rather than silently shifting the timings.
+
+The two 2-round rungs the close-open sweep runs on ``<4,3,0,2>`` (the
+SAT rung that closes it and the exhaustive rung beside it, at the
+sweep's budgets) are timed one round each.  Their work counters are
+deterministic, so they are asserted exactly: a change to the search
+fails the suite even when it does not move the time.
 """
 
 import itertools
 
+import pytest
+
+from repro.core import SymmetricGSBTask
 from repro.sweep import SweepConfig, SweepRunner
-from repro.sweep.jobs import DONE, JobStore, OUTCOME_REFUTED, PENDING
+from repro.sweep.attacks import attack_sat, default_ladder
+from repro.sweep.jobs import DONE, JobStore, OUTCOME_CLOSED, OUTCOME_REFUTED, PENDING
+from repro.topology import ISProtocolComplex, search_decision_map
 from repro.universe import UniverseStore
 
 #: Deterministic sub-second attacks: 1-round ladders, bounded budgets.
@@ -107,3 +118,45 @@ def bench_sweep_resume_overhead(benchmark, tmp_path):
     counts = SweepRunner(store, SMOKE_CONFIG).jobs.counts()
     assert counts.get(PENDING, 0) == 0 and counts[DONE] == 2
     assert store.fingerprint() == fingerprint  # replay is a no-op
+
+
+#: The close-open sweep's 2-round rungs on its one OPEN cell, with the
+#: budgets ``perfbench``'s close-open workload gives them.
+RUNG_KEY = (4, 3, 0, 2)
+RUNG_PARAMS = {
+    attack: params
+    for attack, _rung, params in default_ladder(
+        RUNG_KEY, max_rounds=2, max_conflicts=200_000, max_assignments=40_000
+    )
+    if params["rounds"] == 2
+}
+
+
+def bench_sat_rung_4302_r2(benchmark):
+    """The closing SAT rung: complex, encode, solve and certify."""
+    outcome = benchmark.pedantic(
+        attack_sat, args=(RUNG_KEY, RUNG_PARAMS["sat"]), rounds=1
+    )
+    assert outcome.outcome == OUTCOME_CLOSED
+    counters = {
+        "conflicts": outcome.details["conflicts"],
+        "decisions": outcome.details["decisions"],
+    }
+    benchmark.extra_info.update(counters)
+    assert counters == {"conflicts": 1595, "decisions": 24525}
+
+
+def bench_exhaustive_rung_4302_r2(benchmark):
+    """The exhaustive rung beside it: complex and backtracking search,
+    which spends its whole assignment budget without a conclusion."""
+    budget = RUNG_PARAMS["exhaustive"]["max_assignments"]
+    task = SymmetricGSBTask(*RUNG_KEY)
+
+    def rung():
+        complex_ = ISProtocolComplex(RUNG_KEY[0], 2)
+        with pytest.raises(RuntimeError, match=f"exceeded {budget} assignments"):
+            search_decision_map(task, complex_, max_assignments=budget)
+
+    benchmark.pedantic(rung, rounds=1)
+    benchmark.extra_info["assignments"] = budget
+    assert budget == 40_000

@@ -28,9 +28,9 @@ comparison-based protocol exists" statements, the same bounded evidence
 the exhaustive tier records.
 
 The solver is a dependency-free CDCL — two-watched-literal propagation,
-first-UIP conflict learning, activity-driven branching — so the attack
-has no hard dependency on an external SAT solver.  A conflict budget
-makes every call terminate; exceeding it raises
+first-UIP conflict learning, activity-driven branching from a heap — so
+the attack has no hard dependency on an external SAT solver.  A conflict
+budget makes every call terminate; exceeding it raises
 :class:`SatBudgetExceeded`, which the sweep records as an exhausted
 attack rung.
 """
@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Mapping, Sequence
 
 from ..core.gsb import GSBTask
 from ..topology.decision import decision_class_order
@@ -84,32 +85,35 @@ class DecisionMapEncoding:
         return decision_map
 
 
-def _facet_value_clauses(
-    mult: dict[int, int], low: int, high: int, m: int, var
-) -> Iterable[tuple[int, ...]]:
-    """Counting clauses for one facet (class index -> multiplicity)."""
-    distinct = sorted(mult)
-    # At most ``high`` per value: forbid minimal over-threshold subsets.
-    for size in range(1, len(distinct) + 1):
-        for subset in itertools.combinations(distinct, size):
-            total = sum(mult[c] for c in subset)
-            if total < high + 1:
-                continue
-            if all(total - mult[c] < high + 1 for c in subset):
-                for value in range(1, m + 1):
-                    yield tuple(-var(c, value) for c in subset)
-    # At least ``low`` per value: some class outside every maximal
-    # deficient subset must take the value.
+def _counting_shapes(
+    counts: tuple[int, ...], low: int, high: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Counting-clause shapes of a facet with class multiplicities ``counts``.
+
+    Positions index the facet's distinct classes in ascending order.  The
+    first list holds the *minimal* subsets whose multiplicities sum past
+    ``high`` (at most ``high`` per value: not all of them may take it);
+    the second the complements of the *maximal* subsets that sum below
+    ``low`` (at least ``low`` per value: one of them must take it).
+    """
+    positions = range(len(counts))
+    at_most = []
+    for size in range(1, len(counts) + 1):
+        for subset in itertools.combinations(positions, size):
+            total = sum(counts[p] for p in subset)
+            if total > high and all(total - counts[p] <= high for p in subset):
+                at_most.append(subset)
+    at_least = []
     if low >= 1:
-        for size in range(0, len(distinct) + 1):
-            for subset in itertools.combinations(distinct, size):
-                total = sum(mult[c] for c in subset)
-                if total > low - 1:
+        for size in range(0, len(counts) + 1):
+            for subset in itertools.combinations(positions, size):
+                total = sum(counts[p] for p in subset)
+                if total >= low:
                     continue
-                rest = [c for c in distinct if c not in subset]
-                if all(total + mult[c] > low - 1 for c in rest):
-                    for value in range(1, m + 1):
-                        yield tuple(var(c, value) for c in rest)
+                rest = tuple(p for p in positions if p not in subset)
+                if all(total + counts[p] >= low for p in rest):
+                    at_least.append(rest)
+    return at_most, at_least
 
 
 def encode_decision_map(
@@ -125,44 +129,58 @@ def encode_decision_map(
     position = {label: index for index, label in enumerate(order)}
     m = task.m
     low, high = task.low, task.high
+    # ``positive[i][v - 1]`` is the variable "class i decides v"; zipping
+    # the rows of a class subset yields that subset's clause per value.
+    positive = [
+        tuple(range(index * m + 1, index * m + m + 1))
+        for index in range(len(order))
+    ]
+    negative = [tuple(-lit for lit in row) for row in positive]
 
-    def var(class_index: int, value: int) -> int:
-        return class_index * m + value
-
-    clauses: set[tuple[int, ...]] = set()
-    for index in range(len(order)):
-        clauses.add(tuple(var(index, value) for value in range(1, m + 1)))
-        for v1, v2 in itertools.combinations(range(1, m + 1), 2):
-            clauses.add((-var(index, v1), -var(index, v2)))
+    clauses: set[tuple[int, ...]] = set(positive)
+    for row in negative:
+        clauses.update(itertools.combinations(row, 2))
     # Facets repeat class multisets heavily (the complex is built from
-    # order-isomorphic views); dedupe before clause generation.
-    seen: set[tuple] = set()
+    # order-isomorphic views); dedupe before clause generation, and share
+    # the subset enumeration between facets with equal multiplicities.
+    fingerprints: set[tuple] = set()
     for facet in complex_.facets():
         mult: dict[int, int] = {}
         for vertex in facet:
             index = position[classes[vertex]]
             mult[index] = mult.get(index, 0) + 1
-        fingerprint = tuple(sorted(mult.items()))
-        if fingerprint in seen:
-            continue
-        seen.add(fingerprint)
-        clauses.update(_facet_value_clauses(mult, low, high, m, var))
+        fingerprints.add(tuple(sorted(mult.items())))
+    shapes: dict[tuple[int, ...], tuple] = {}
+    for fingerprint in fingerprints:
+        members = [index for index, _ in fingerprint]
+        counts = tuple(count for _, count in fingerprint)
+        if counts not in shapes:
+            shapes[counts] = _counting_shapes(counts, low, high)
+        at_most, at_least = shapes[counts]
+        for subset in at_most:
+            clauses.update(zip(*[negative[members[p]] for p in subset]))
+        for rest in at_least:
+            if rest:
+                clauses.update(zip(*[positive[members[p]] for p in rest]))
+            else:
+                clauses.add(())  # the facet cannot reach ``low`` at all
     if task.is_symmetric:
         # Value-precede chain over the class order: w appears only after
         # w-1 did.  Sound because symmetric-task legality is invariant
         # under value permutation (it only reads per-value counts).
         for w in range(2, m + 1):
+            earlier: tuple[int, ...] = ()
             for index in range(len(order)):
-                clauses.add(
-                    (-var(index, w),)
-                    + tuple(var(earlier, w - 1) for earlier in range(index))
-                )
+                clauses.add((negative[index][w - 1],) + earlier)
+                earlier += (positive[index][w - 2],)
     return DecisionMapEncoding(
         n=task.n,
         m=m,
         rounds=complex_.rounds,
         num_vars=len(order) * m,
-        clauses=tuple(sorted(clauses, key=lambda c: (len(c), c))),
+        # Clauses are distinct, so sorting by value and then stably by
+        # length is the (length, clause) order.
+        clauses=tuple(sorted(sorted(clauses), key=len)),
         class_order=tuple(order),
     )
 
@@ -186,88 +204,127 @@ def solve_cnf(
 
     Raises :class:`SatBudgetExceeded` when ``max_conflicts`` runs out —
     the caller records the rung as exhausted rather than concluding
-    anything.  Polarity defaults to False (use few values first), which
-    together with the value-precede chain steers models toward the
-    lexicographically least decision map; after the first restart,
-    phase saving takes over.  Restarts follow a Luby sequence; learned
-    clauses are never deleted, so the solver stays complete.
+    anything — and :class:`ValueError` when a clause holds a literal
+    outside ``±1..±num_vars``.  Polarity defaults to False (use few
+    values first), which together with the value-precede chain steers
+    models toward the lexicographically least decision map; after the
+    first restart, phase saving takes over.  Restarts follow a Luby
+    sequence; learned clauses are never deleted, so the solver stays
+    complete.  Branching picks the highest-activity unassigned variable,
+    lowest index on ties, from a lazy heap.
     """
-    assign: dict[int, bool] = {}
-    level: dict[int, int] = {}
-    reason: dict[int, list[int] | None] = {}
+    for raw in clauses:
+        if raw and (0 in raw or max(raw) > num_vars or min(raw) < -num_vars):
+            raise ValueError(
+                f"clause {tuple(raw)} has a literal outside "
+                f"±1..±{num_vars}"
+            )
+    # Literal-indexed truth: ``value[lit]`` for ``lit`` in ``±1..±n`` (a
+    # negative literal indexes from the end), None while unassigned.
+    # ``watches`` is indexed the same way; ``level``/``reason`` by variable.
+    size = 2 * num_vars + 1
+    value: list[bool | None] = [None] * size
+    watches: list[list[list[int]]] = [[] for _ in range(size)]
+    level = [0] * (num_vars + 1)
+    reason: list[list[int] | None] = [None] * (num_vars + 1)
     trail: list[int] = []
-    database: list[list[int]] = []
-    watches: dict[int, list[int]] = {}
+    queue: list[int] = []
     activity = [0.0] * (num_vars + 1)
     phase = [False] * (num_vars + 1)
+    # Lazy branching heap of ``(-activity, var)``.  ``fresh[v]`` says the
+    # heap holds an entry for ``v`` at its current activity; every
+    # unassigned variable has one, so the first fresh unassigned entry
+    # popped is the highest-activity unassigned variable, lowest index on
+    # ties.  Activity only grows between halvings, and each halving
+    # rebuilds the heap, so an entry is stale iff its key is not ``v``'s
+    # current activity.
+    heap = [(0.0, variable) for variable in range(1, num_vars + 1)]
+    fresh = [True] * (num_vars + 1)
     conflicts = 0
     decisions = 0
 
-    def value(lit: int) -> bool | None:
-        truth = assign.get(abs(lit))
-        if truth is None:
-            return None
-        return truth == (lit > 0)
-
     def enqueue(lit: int, at: int, because: list[int] | None) -> None:
-        variable = abs(lit)
-        assign[variable] = lit > 0
+        value[lit] = True
+        value[-lit] = False
+        variable = lit if lit > 0 else -lit
         level[variable] = at
         reason[variable] = because
         trail.append(variable)
         queue.append(variable)
 
-    def watch(cid: int) -> None:
-        for lit in database[cid][:2]:
-            watches.setdefault(lit, []).append(cid)
+    def unassign_to(keep: int) -> None:
+        """Pop the trail down to decision level ``keep``."""
+        while trail and level[trail[-1]] > keep:
+            variable = trail.pop()
+            phase[variable] = value[variable]
+            value[variable] = value[-variable] = None
+            if not fresh[variable]:
+                fresh[variable] = True
+                heappush(heap, (-activity[variable], variable))
 
-    queue: list[int] = []
     for raw in clauses:
         clause = list(raw)
         if not clause:
             return SatResult(False, None, conflicts, decisions)
         if len(clause) == 1:
             lit = clause[0]
-            current = value(lit)
+            current = value[lit]
             if current is False:
                 return SatResult(False, None, conflicts, decisions)
             if current is None:
                 enqueue(lit, 0, None)
             continue
-        database.append(clause)
-        watch(len(database) - 1)
+        watches[clause[0]].append(clause)
+        watches[clause[1]].append(clause)
 
-    def propagate(at: int) -> list[int] | None:
+    # The hot loop's state is bound as defaults: fast locals, not cells.
+    def propagate(
+        at: int,
+        value=value,
+        watches=watches,
+        level=level,
+        reason=reason,
+        trail=trail,
+        queue=queue,
+    ) -> list[int] | None:
         """Unit propagation; returns a conflicting clause or None."""
         while queue:
             variable = queue.pop()
-            false_lit = -variable if assign[variable] else variable
-            watching = watches.get(false_lit, [])
+            false_lit = -variable if value[variable] else variable
+            watching = watches[false_lit]
             index = 0
-            while index < len(watching):
-                cid = watching[index]
-                clause = database[cid]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first = value(clause[0])
-                if first is True:
+            end = len(watching)
+            while index < end:
+                clause = watching[index]
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_lit
+                truth = value[first]
+                if truth is True:
                     index += 1
                     continue
-                moved = False
                 for slot in range(2, len(clause)):
-                    if value(clause[slot]) is not False:
-                        clause[1], clause[slot] = clause[slot], clause[1]
-                        watches.setdefault(clause[1], []).append(cid)
-                        watching[index] = watching[-1]
+                    lit = clause[slot]
+                    if value[lit] is not False:
+                        clause[1], clause[slot] = lit, clause[1]
+                        watches[lit].append(clause)
+                        end -= 1
+                        watching[index] = watching[end]
                         watching.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                if first is False:
-                    return clause
-                enqueue(clause[0], at, clause)
-                index += 1
+                else:
+                    if truth is False:
+                        return clause
+                    # Enqueue ``first``, implied at this level.
+                    value[first] = True
+                    value[-first] = False
+                    implied = first if first > 0 else -first
+                    level[implied] = at
+                    reason[implied] = clause
+                    trail.append(implied)
+                    queue.append(implied)
+                    index += 1
         return None
 
     conflict = propagate(0)
@@ -293,10 +350,7 @@ def solve_cnf(
     while True:
         if since_restart >= restart_limit and current_level > 0:
             # Restart: keep the learned clauses, drop the decisions.
-            while trail and level[trail[-1]] > 0:
-                variable = trail.pop()
-                phase[variable] = assign[variable]
-                del assign[variable], level[variable], reason[variable]
+            unassign_to(0)
             current_level = 0
             queue.clear()
             restart_count += 1
@@ -304,12 +358,19 @@ def solve_cnf(
             since_restart = 0
         # Branch: highest-activity unassigned variable, saved polarity.
         branch = 0
-        best = -1.0
-        for variable in range(1, num_vars + 1):
-            if variable not in assign and activity[variable] > best:
-                branch, best = variable, activity[variable]
+        while heap:
+            key, variable = heappop(heap)
+            if -key != activity[variable]:
+                continue  # stale
+            fresh[variable] = False
+            if value[variable] is None:
+                branch = variable
+                break
         if branch == 0:
-            return SatResult(True, dict(assign), conflicts, decisions)
+            model = {
+                variable: value[variable] for variable in range(1, num_vars + 1)
+            }
+            return SatResult(True, model, conflicts, decisions)
         decisions += 1
         current_level += 1
         enqueue(branch if phase[branch] else -branch, current_level, None)
@@ -334,19 +395,19 @@ def solve_cnf(
             cursor = len(trail) - 1
             while True:
                 for lit in clause:
-                    variable = abs(lit)
+                    variable = lit if lit > 0 else -lit
                     if variable == pivot or variable in seen:
                         continue
-                    if level[variable] == 0:
+                    at = level[variable]
+                    if at == 0:
                         continue
                     seen.add(variable)
                     activity[variable] += 1.0
-                    if level[variable] == current_level:
+                    fresh[variable] = False  # assigned; re-queued on unassign
+                    if at == current_level:
                         pending += 1
                     else:
-                        learnt.append(
-                            -variable if assign[variable] else variable
-                        )
+                        learnt.append(-variable if value[variable] else variable)
                 while (
                     trail[cursor] not in seen
                     or level[trail[cursor]] != current_level
@@ -359,28 +420,33 @@ def solve_cnf(
                     break
                 clause = reason[pivot] or []
                 cursor -= 1
-            uip = -pivot if assign[pivot] else pivot
+            uip = -pivot if value[pivot] else pivot
             learnt.insert(0, uip)
             backtrack_level = (
                 max(level[abs(lit)] for lit in learnt[1:])
                 if len(learnt) > 1
                 else 0
             )
-            while trail and level[trail[-1]] > backtrack_level:
-                variable = trail.pop()
-                phase[variable] = assign[variable]
-                del assign[variable], level[variable], reason[variable]
+            unassign_to(backtrack_level)
             current_level = backtrack_level
             queue.clear()
             if len(learnt) == 1:
                 enqueue(uip, 0, None)
             else:
-                database.append(learnt)
-                watch(len(database) - 1)
+                watches[learnt[0]].append(learnt)
+                watches[learnt[1]].append(learnt)
                 enqueue(uip, current_level, learnt)
             if conflicts % 256 == 0:
                 for variable in range(1, num_vars + 1):
                     activity[variable] *= 0.5
+                heap[:] = [
+                    (-activity[variable], variable)
+                    for variable in range(1, num_vars + 1)
+                    if value[variable] is None
+                ]
+                heapify(heap)
+                for variable in range(1, num_vars + 1):
+                    fresh[variable] = value[variable] is None
 
 
 def solve_decision_map_sat(

@@ -10,14 +10,15 @@ refutations for growing r mechanize impossibility evidence, and found maps
 are constructive solvability certificates (e.g. one-round comparison-based
 (2n-1)-renaming for n = 2).
 
-The search is a backtracking CSP over canonical classes with facet
-constraints checked as soon as all their classes are assigned.
+The search is a backtracking CSP over canonical classes with each facet's
+constraint checked, as a partial vector, whenever one of its classes is
+assigned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ..core.gsb import GSBTask
 from .is_complex import ISProtocolComplex
@@ -42,7 +43,7 @@ class DecisionSearchResult:
 
 def facet_decisions(
     facet: Sequence[tuple[int, View]],
-    classes: dict[tuple[int, View], View],
+    classes: Mapping[tuple[int, View], View],
     assignment: dict[View, int],
 ) -> list[int | None]:
     """Decisions of a facet's vertices under a (partial) assignment."""
@@ -77,8 +78,19 @@ def search_decision_map(
     """Search for a comparison-based decision map solving ``task``.
 
     Classes are ordered by first appearance in facets so each facet's
-    constraint becomes checkable as early as possible; a facet whose
-    classes are all assigned must already form a legal output vector.
+    constraint becomes checkable as early as possible: assigning a class
+    re-checks every facet it appears in, and a facet must still extend
+    to a legal output (:meth:`GSBTask.is_legal_partial_output`), which
+    prunes far earlier than waiting for full assignment.
+
+    The check runs on per-facet counters updated on assign and unassign:
+    the decided count of each value, and the *slack* ``remaining -
+    deficit`` (undecided entries minus the lower-bound shortfall).  Only
+    the assigned value's count changes (every other count passed its
+    upper bound when it last grew), so a facet stays extendable iff that
+    count is within its upper bound and the slack is non-negative;
+    ``remaining <= headroom`` reduces to ``n <= sum(u_v)``, a property of
+    the task alone.
     """
     if task.n != complex_.n:
         raise ValueError(
@@ -88,53 +100,92 @@ def search_decision_map(
     facets = complex_.facets()
     class_order = decision_class_order(complex_)
 
-    # Facets as class-index vectors, and for each class the facets touching
-    # it: assigning a class triggers a *partial* legality check on each of
-    # its facets, which prunes far earlier than waiting for full assignment.
+    # For each class, the facets it appears in and its multiplicity there.
     position = {label: index for index, label in enumerate(class_order)}
-    facet_class_indexes = [
-        [position[classes[vertex]] for vertex in facet] for facet in facets
-    ]
-    facets_touching: list[list[int]] = [[] for _ in class_order]
-    for facet_index, members in enumerate(facet_class_indexes):
-        for class_index in set(members):
-            facets_touching[class_index].append(facet_index)
+    touching: list[list[tuple[int, int]]] = [[] for _ in class_order]
+    for facet_index, facet in enumerate(facets):
+        mult: dict[int, int] = {}
+        for vertex in facet:
+            class_index = position[classes[vertex]]
+            mult[class_index] = mult.get(class_index, 0) + 1
+        for class_index, count in mult.items():
+            touching[class_index].append((facet_index, count))
 
-    values = list(range(1, task.m + 1))
+    m = task.m
+    lows = (0, *task.bounds.lower)
+    highs = (0, *task.bounds.upper)
+    extendable = task.n <= sum(task.bounds.upper)
+    counts = [[0] * len(facets) for _ in range(m + 1)]
+    slack = [task.n - sum(task.bounds.lower)] * len(facets)
+
+    def assign(class_index: int, value: int) -> bool:
+        """Count ``value`` into every facet of the class, or change nothing
+        and return False when one of them stops being extendable."""
+        if not extendable:
+            return False
+        decided, low, high = counts[value], lows[value], highs[value]
+        facets_of = touching[class_index]
+        for done, (facet_index, count) in enumerate(facets_of):
+            before = decided[facet_index]
+            after = before + count
+            left = slack[facet_index] - count
+            if low > before:
+                left += min(count, low - before)
+            if after > high or left < 0:
+                for undone, undo_count in facets_of[:done]:
+                    unassign_one(decided, low, undone, undo_count)
+                return False
+            decided[facet_index] = after
+            slack[facet_index] = left
+        return True
+
+    def unassign_one(decided, low, facet_index: int, count: int) -> None:
+        before = decided[facet_index] - count
+        decided[facet_index] = before
+        slack[facet_index] += count
+        if low > before:
+            slack[facet_index] -= min(count, low - before)
+
+    def unassign(class_index: int, value: int) -> None:
+        decided, low = counts[value], lows[value]
+        for facet_index, count in touching[class_index]:
+            unassign_one(decided, low, facet_index, count)
+
+    # Depth-first over classes in order; symmetric tasks are invariant
+    # under value permutation, so the first class is pinned to value 1
+    # without loss of generality.
+    last_value = [m] * len(class_order)
+    if class_order and task.is_symmetric:
+        last_value[0] = 1
+    next_value = [1] * len(class_order)
     assignment: list[int | None] = [None] * len(class_order)
     tried = 0
-
-    def facet_still_satisfiable(facet_index: int) -> bool:
-        partial = [
-            assignment[class_index]
-            for class_index in facet_class_indexes[facet_index]
-        ]
-        return task.is_legal_partial_output(partial)
-
-    def backtrack(depth: int) -> bool:
-        nonlocal tried
+    depth = 0
+    found = False
+    while True:
         if depth == len(class_order):
-            return True
-        # Symmetric tasks are invariant under value permutation: pin the
-        # first class to value 1 without loss of generality.
-        domain = [1] if (depth == 0 and task.is_symmetric) else values
-        for value in domain:
-            tried += 1
-            if tried > max_assignments:
-                raise RuntimeError(
-                    f"decision-map search exceeded {max_assignments} "
-                    "assignments; reduce n or rounds"
-                )
-            assignment[depth] = value
-            if all(
-                facet_still_satisfiable(index) for index in facets_touching[depth]
-            ):
-                if backtrack(depth + 1):
-                    return True
+            found = True
+            break
+        value = next_value[depth]
+        if value > last_value[depth]:
+            next_value[depth] = 1
+            depth -= 1
+            if depth < 0:
+                break
+            unassign(depth, assignment[depth])
             assignment[depth] = None
-        return False
+            continue
+        next_value[depth] = value + 1
+        tried += 1
+        if tried > max_assignments:
+            raise RuntimeError(
+                f"decision-map search exceeded {max_assignments} "
+                "assignments; reduce n or rounds"
+            )
+        if assign(depth, value):
+            assignment[depth] = value
+            depth += 1
 
-    found = backtrack(0)
     assignment_map = {
         class_order[index]: value
         for index, value in enumerate(assignment)

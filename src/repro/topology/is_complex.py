@@ -20,7 +20,9 @@ n=3 -> 13^r, n=4 -> 75^r.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from ..core.cache_config import managed_cache
 from .simplicial import SimplicialComplex
@@ -117,12 +119,16 @@ class ISProtocolComplex:
 
     # ------------------------------------------------------------------
 
-    def facets(self) -> list[tuple[tuple[int, View], ...]]:
-        """Facets as sorted (pid, view) vertex tuples."""
-        return [
+    def facets(self) -> tuple[tuple[tuple[int, View], ...], ...]:
+        """Facets as sorted (pid, view) vertex tuples (computed once)."""
+        return self._facets
+
+    @cached_property
+    def _facets(self) -> tuple[tuple[tuple[int, View], ...], ...]:
+        return tuple(
             tuple((pid, states[pid]) for pid in range(self.n))
             for states in self.facet_states
-        ]
+        )
 
     def to_simplicial(self) -> SimplicialComplex:
         return SimplicialComplex(self.facets())
@@ -132,22 +138,31 @@ class ISProtocolComplex:
         """Chromatic coloring: the process id of a vertex."""
         return vertex[0]
 
-    def vertices(self) -> set[tuple[int, View]]:
-        points: set[tuple[int, View]] = set()
-        for facet in self.facets():
-            points.update(facet)
-        return points
+    def vertices(self) -> frozenset[tuple[int, View]]:
+        """All vertices (computed once)."""
+        return self._vertices
 
-    def canonical_classes(self) -> dict[tuple[int, View], View]:
+    @cached_property
+    def _vertices(self) -> frozenset[tuple[int, View]]:
+        return frozenset(vertex for facet in self._facets for vertex in facet)
+
+    def canonical_classes(self) -> Mapping[tuple[int, View], View]:
         """Map each vertex to its comparison-based canonical class.
 
         The class of a vertex (pid, view) is the relabeled view *plus* the
         owner's rank among seen pids (a process knows its own identity).
+        Computed once; the mapping is read-only.
         """
-        return {
-            vertex: canonical_local_state(vertex[0], vertex[1])
-            for vertex in self.vertices()
-        }
+        return self._canonical_classes
+
+    @cached_property
+    def _canonical_classes(self) -> Mapping[tuple[int, View], View]:
+        return MappingProxyType(
+            {
+                vertex: canonical_local_state(vertex[0], vertex[1])
+                for vertex in self._vertices
+            }
+        )
 
     def solo_vertices(self) -> list[tuple[int, View]]:
         """The n vertices of the fully-solo executions."""

@@ -1,8 +1,13 @@
 """Tests for decision-map search on protocol complexes."""
 
+import functools
+import itertools
+
 import pytest
 
 from repro.core import (
+    BoundVector,
+    GSBTask,
     SymmetricGSBTask,
     election,
     perfect_renaming,
@@ -14,6 +19,8 @@ from repro.topology import (
     search_decision_map,
     verify_decision_map,
 )
+
+from .reference_search import reference_search_decision_map
 
 
 class TestPositiveControls:
@@ -105,3 +112,70 @@ class TestSearchMechanics:
         complex_ = ISProtocolComplex(2, 1)
         problems = verify_decision_map(renaming(2, 3), complex_, {})
         assert any("unmapped" in problem for problem in problems)
+
+
+@functools.lru_cache(maxsize=None)
+def shared_complex(n, rounds):
+    return ISProtocolComplex(n, rounds)
+
+
+def outcome(search, task, complex_, max_assignments):
+    try:
+        result = search(task, complex_, max_assignments=max_assignments)
+    except RuntimeError as error:
+        return ("exceeded", str(error))
+    return (result.assignments_tried, result.decision_map, result.classes)
+
+
+def differential_tasks(n, asymmetric_m=(2, 3)):
+    """Symmetric tasks of every shape (infeasible ones included), election,
+    and asymmetric bound vectors with ``m`` in ``asymmetric_m``."""
+    tasks = [
+        SymmetricGSBTask(n, m, low, high)
+        for m in range(1, 4)
+        for low in range(0, n + 1)
+        for high in range(low, n + 1)
+    ]
+    if n >= 2:
+        tasks.append(election(n))
+    for m in asymmetric_m:
+        for lower in itertools.product(range(0, 2), repeat=m):
+            for upper in itertools.product(range(1, n + 1), repeat=m):
+                if all(low <= high for low, high in zip(lower, upper)):
+                    tasks.append(GSBTask(n, BoundVector(lower, upper)))
+    return tasks
+
+
+class TestCountersAgainstReference:
+    """The counter-based search visits exactly the assignments of the
+    predicate-based reference: same count, same map, same overruns."""
+
+    @pytest.mark.parametrize(
+        "n,rounds,budgets,asymmetric_m",
+        [
+            pytest.param(1, 1, (50, 20_000), (2, 3), id="n1-r1"),
+            pytest.param(1, 2, (50, 20_000), (2, 3), id="n1-r2"),
+            pytest.param(2, 1, (50, 20_000), (2, 3), id="n2-r1"),
+            pytest.param(2, 2, (50, 20_000), (2, 3), id="n2-r2"),
+            pytest.param(3, 1, (50, 20_000), (2, 3), id="n3-r1"),
+            pytest.param(3, 2, (50, 2_000), (2,), id="n3-r2"),
+            pytest.param(4, 1, (50, 2_000), (), id="n4-r1"),
+        ],
+    )
+    def test_identical_search(self, n, rounds, budgets, asymmetric_m):
+        complex_ = shared_complex(n, rounds)
+        for task in differential_tasks(n, asymmetric_m):
+            for budget in budgets:
+                assert outcome(search_decision_map, task, complex_, budget) == (
+                    outcome(reference_search_decision_map, task, complex_, budget)
+                ), (task, budget)
+
+    @pytest.mark.parametrize(
+        "parameters", [(4, 2, 0, 4), (4, 3, 0, 3), (4, 2, 2, 2), (4, 3, 0, 2)]
+    )
+    def test_identical_search_two_rounds_n4(self, parameters):
+        task = SymmetricGSBTask(*parameters)
+        complex_ = shared_complex(4, 2)
+        assert outcome(search_decision_map, task, complex_, 8_000) == (
+            outcome(reference_search_decision_map, task, complex_, 8_000)
+        )

@@ -1,5 +1,7 @@
 """Tests for immediate-snapshot protocol complexes."""
 
+import pytest
+
 from repro.topology import (
     ISProtocolComplex,
     one_round_states,
@@ -81,6 +83,16 @@ class TestIterated:
         assert set(classes) == complex_.vertices()
         # 6 classes at one round: (seen k, rank j) for 1<=j<=k<=3.
         assert len(set(classes.values())) == 6
+
+    def test_accessors_are_computed_once_and_read_only(self):
+        complex_ = ISProtocolComplex(3, 1)
+        assert complex_.facets() is complex_.facets()
+        assert complex_.vertices() is complex_.vertices()
+        assert complex_.canonical_classes() is complex_.canonical_classes()
+        assert isinstance(complex_.facets(), tuple)
+        assert isinstance(complex_.vertices(), frozenset)
+        with pytest.raises(TypeError):
+            complex_.canonical_classes()[(0, None)] = None
 
     def test_solo_classes_collapse(self):
         from repro.topology.views import canonical_local_state
