@@ -14,7 +14,9 @@ acceptance run:
 * the tier-4 decision-map replay protocol at n=3 on the compiled core;
 * the value-symmetry orbit quotient at n=4 (the optimisation that opens
   n=5), plus an opt-in n=5 smoke (``EXPLORE_N5_SMOKE=1``) mirroring the
-  CI acceptance run.
+  CI acceptance run;
+* the relabelled ``renaming`` spec at n=6, its search pinned counter for
+  counter.
 """
 
 import os
@@ -95,6 +97,36 @@ def bench_explore_wsb_grh_n4_quotient(benchmark):
     assert (result.runs, result.distinct) == (27749755392, 84)
     assert result.violations == 0
     assert result.stats.orbits > 0
+
+
+def bench_explore_renaming_n6_relabelled(benchmark):
+    """Figure 2's renaming at n=6, the registry's one relabelled spec.
+
+    Every branch is probed before it is forked, with the canonical key
+    computed from the probed parts.  The orbits, hits and nodes are those
+    of the fork-first search (115,304 forks, 0 probe hits); the fork and
+    probe-hit counts are the probe-first search's.  The counters ride in
+    ``extra_info``.
+    """
+    result = benchmark.pedantic(
+        explore_one, args=("renaming", 6), rounds=1, iterations=1
+    )
+    assert (result.runs, result.distinct, result.violations) == (
+        137225088000, 1080, 0
+    )
+    stats = result.stats.to_json()
+    counters = {
+        key: stats[key]
+        for key in ("orbits", "orbit_hits", "nodes", "forks", "lex_pruned")
+    }
+    benchmark.extra_info.update(counters)
+    assert counters == {
+        "orbits": 34564,
+        "orbit_hits": 115215,
+        "nodes": 34564,
+        "forks": 12255,
+        "lex_pruned": 112560,
+    }
 
 
 @pytest.mark.skipif(

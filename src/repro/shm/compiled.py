@@ -49,6 +49,7 @@ Semantics notes (all verified by the differential suite in
 from __future__ import annotations
 
 from copy import deepcopy as _deepcopy
+from itertools import chain
 from typing import Any, Mapping, Sequence
 
 from .ops import Invoke, Nop, Op, Read, Snapshot, Write, WriteCell
@@ -976,52 +977,55 @@ class MachineState:
             generic_keys,
         )
 
-    #: ``probe_step`` marker: the probed step does not decide its process.
+    #: ``probe`` marker: the probed step does not decide its process.
     STILL_RUNNING = object()
 
-    def probe_step(self, pid: int) -> tuple[tuple, Any] | None:
-        """Orbit key of the state ``step(pid)`` would reach — without
+    def probe(self, pid: int) -> tuple | None:
+        """The parts of the state ``step(pid)`` would reach — without
         forking or stepping.
 
-        Returns ``(orbit key, decided value)`` where the decided value
-        is :data:`STILL_RUNNING` when the step leaves ``pid`` undecided;
-        or None when the successor cannot be probed structurally (an
-        untraced table edge, a generic object, an oracle-misuse step
-        that must raise for real) and the caller should fork + step.
-        The returned key is byte-identical to the successor's
-        :meth:`orbit_key` — the quotient tests pin that.
+        Returns ``(pcs, cells, acquired, decided, oracle)``: the
+        successor's program counters, flat cells and acquired masks (as
+        tuples), the decided value (:data:`STILL_RUNNING` when the step
+        leaves ``pid`` undecided) and the index of the oracle the step
+        acquires from (-1 for none).  None when the successor cannot be
+        probed structurally (an untraced table edge, a generic object,
+        an oracle-misuse step that must raise for real) and the caller
+        should fork + step.  ``(pcs, cells, acquired, ())`` is the
+        successor's :meth:`orbit_key` — the quotient tests pin that.
         """
         if self._generic:
             return None
-        program = self.program
-        node = self._pc[pid]
+        pcs = self._pc
+        node = pcs[pid]
         if node < 0:
             return None
+        program = self.program
         entry = program.exec_table[node]
         code = entry[0]
         cells = self._cells
-        new_cells = None
-        new_acquired = None
+        acquired = self._oracle_acquired
+        oracle = -1
         if code == _OP_WRITE:
             result = None
             cell = entry[1]
             if cells[cell] != entry[2]:
-                new_cells = list(cells)
-                new_cells[cell] = entry[2]
+                cells = cells.copy()
+                cells[cell] = entry[2]
         elif code == _OP_SNAPSHOT:
             result = tuple(cells[entry[1] : entry[2]])
         elif code == _OP_READ:
             result = cells[entry[1]]
         elif code == _OP_INVOKE:
-            index = entry[1]
+            oracle = entry[1]
             mask = 1 << pid
-            if self._oracle_acquired[index] & mask:
+            if acquired[oracle] & mask:
                 return None  # the real step raises OracleUsageError
-            result = self._oracle_values[index][
-                len(self._oracle_arrivals[index])
+            result = self._oracle_values[oracle][
+                len(self._oracle_arrivals[oracle])
             ]
-            new_acquired = list(self._oracle_acquired)
-            new_acquired[index] |= mask
+            acquired = acquired.copy()
+            acquired[oracle] |= mask
         elif code == _OP_NOP:
             result = None
         else:
@@ -1031,23 +1035,12 @@ class MachineState:
             return None  # untraced successor: the real step must trace it
         if program.ops[child] is None:
             decided = program.decisions[child]
-            new_pc = DECIDED
+            child = DECIDED
         else:
             decided = MachineState.STILL_RUNNING
-            new_pc = child
-        pcs = list(self._pc)
-        pcs[pid] = new_pc
-        return (
-            (
-                tuple(pcs),
-                tuple(cells) if new_cells is None else tuple(new_cells),
-                tuple(self._oracle_acquired)
-                if new_acquired is None
-                else tuple(new_acquired),
-                (),
-            ),
-            decided,
-        )
+        pcs = pcs.copy()
+        pcs[pid] = child
+        return tuple(pcs), tuple(cells), tuple(acquired), decided, oracle
 
     def result(self) -> RunResult:
         return RunResult(
@@ -1059,6 +1052,44 @@ class MachineState:
             trace=list(self.trace),
             steps=self.step_count,
         )
+
+
+class LazyTable(dict):
+    """A dict that computes a missing entry once, from ``fill(key)``.
+
+    Lookups of present keys stay C-level (``table[key]`` or
+    ``map(table.__getitem__, keys)``), which is what the hot paths that
+    translate whole key tuples through memo tables rely on.
+    """
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
+
+
+class Relabeling(dict):
+    """One value permutation, as a ``value -> relabeled value`` dict.
+
+    ``outputs`` translates whole decided-output tuples (memoised: the
+    engine maps the same suffix tuples over and over) and ``inverse`` is
+    the reverse permutation, itself a :class:`Relabeling`.
+    """
+
+    __slots__ = ("outputs", "inverse")
+
+    def __init__(self, mapping: Mapping, relabel: Any):
+        super().__init__(mapping)
+        map_output = relabel.map_output
+        self.outputs = LazyTable(
+            lambda values: tuple([map_output(value, self) for value in values])
+        )
+        self.inverse: Relabeling | None = None
 
 
 class ValueCanonicalizer:
@@ -1086,6 +1117,12 @@ class ValueCanonicalizer:
     history that diverges structurally fails loudly in
     :meth:`CompiledProtocol.extend`'s determinism check rather than
     merging unsoundly.
+
+    Canonicalisation is table-driven: the oracle values held by each
+    cell array and each node, the pending-value set per hand-out count
+    and the whole relabeling per free-value order (a node map, a cell map
+    and the inverse) are each computed once, so a state costs a few
+    C-level passes over its key parts.
     """
 
     def __init__(self, program: CompiledProtocol, relabel: Any):
@@ -1097,10 +1134,28 @@ class ValueCanonicalizer:
                 f"{program.oracle_names}"
             )
         self._oracle = program._oracle_index[relabel.oracle]
+        cell_values = relabel.cell_values
+        #: cell array -> oracle values it stores, in first-occurrence order
+        self._cells_values = LazyTable(
+            lambda cells: tuple(
+                dict.fromkeys(
+                    value for cell in cells for value in cell_values(cell)
+                )
+            )
+        )
         #: node -> chronological tuple of oracle values its history holds
-        self._node_values: dict[int, tuple] = {}
+        #: (negative program counters hold none)
+        self._node_values = LazyTable(self._held)
         #: (node, mapping key) -> canonical node
         self._canon_nodes: dict[tuple, int] = {}
+        #: free-value order -> (node map, cell-array map, inverse), or None
+        #: for the identity
+        self._plans = LazyTable(self._plan)
+        #: The committed value vector the pending sets below belong to.
+        #: The canonicaliser is cached on the program across
+        #: explorations, so the vector is keyed by identity.
+        self._vector: tuple | None = None
+        self._pending: LazyTable | None = None
 
     def canonical(self, machine: MachineState) -> tuple[tuple | None, dict | None]:
         """``(canonical orbit key, inverse mapping)`` for one state.
@@ -1115,62 +1170,91 @@ class ValueCanonicalizer:
             # rewrite.  Fall back to the unrelabeled orbit key (sound,
             # merely coarser-free).
             return machine.orbit_key(), None
+        return self.canonical_probe(
+            machine,
+            (
+                tuple(machine._pc),
+                tuple(machine._cells),
+                tuple(machine._oracle_acquired),
+                None,
+                -1,
+            ),
+        )
+
+    def canonical_probe(
+        self, machine: MachineState, parts: tuple
+    ) -> tuple[tuple, dict | None]:
+        """:meth:`canonical` of the successor that ``machine.probe(pid)``
+        returned ``parts`` for — without forking or stepping.  (The
+        machine itself passes its own parts, with no acquiring oracle.)"""
+        pcs, cells, acquired, _decided, oracle = parts
         index = self._oracle
         values = machine._oracle_values[index]
-        pending = set(values[len(machine._oracle_arrivals[index]) :])
-        relabel = self.relabel
-        seen: set = set()
-        order: list = []
-        for cell in machine._cells:
-            for value in relabel.cell_values(cell):
-                if value not in seen:
-                    seen.add(value)
-                    order.append(value)
-        for node in machine._pc:
-            if node < 0:
-                continue
-            for value in self._values_at(node):
-                if value not in seen:
-                    seen.add(value)
-                    order.append(value)
-        free = [value for value in order if value not in pending]
+        taken = len(machine._oracle_arrivals[index])
+        if oracle == index:
+            taken += 1
+        # First-occurrence order over the cells, then over each live
+        # process's held values in pid order; minus the pending values.
+        order = dict.fromkeys(
+            chain(
+                self._cells_values[cells],
+                chain.from_iterable(map(self._node_values.__getitem__, pcs)),
+            )
+        )
+        if values is not self._vector:
+            self._vector = values
+            self._pending = LazyTable(lambda count: frozenset(values[count:]))
+        for value in self._pending[taken]:
+            order.pop(value, None)
+        plan = self._plans[tuple(order)]
+        if plan is None:
+            return (pcs, cells, acquired, ()), None
+        nodes, cells_map, inverse = plan
+        return (tuple(map(nodes, pcs)), cells_map[cells], acquired, ()), inverse
+
+    def _plan(self, free: tuple) -> tuple | None:
+        """The relabeling that sorts one free-value order (None when it
+        is already sorted): a bound node-map lookup, a cell-array map and
+        the inverse :class:`Relabeling`."""
         mapping = {
             src: dst for src, dst in zip(free, sorted(free)) if src != dst
         }
         if not mapping:
-            return machine.orbit_key(), None
+            return None
         mapping_key = tuple(sorted(mapping.items()))
-        pcs = tuple(
-            node if node < 0 else self._canonical_node(node, mapping, mapping_key)
-            for node in machine._pc
+        relabel = self.relabel
+        canonical_node = self._canonical_node
+        nodes = LazyTable(
+            lambda node: node
+            if node < 0
+            else canonical_node(node, mapping, mapping_key)
         )
-        cells = tuple(
-            relabel.map_cell(cell, mapping) for cell in machine._cells
+        map_cell = relabel.map_cell
+        cells = LazyTable(
+            lambda row: tuple([map_cell(cell, mapping) for cell in row])
         )
-        inverse = {dst: src for src, dst in mapping.items()}
-        return (
-            (pcs, cells, tuple(machine._oracle_acquired), ()),
-            inverse,
+        inverse = Relabeling(
+            {dst: src for src, dst in mapping.items()}, relabel
         )
+        inverse.inverse = Relabeling(mapping, relabel)
+        inverse.inverse.inverse = inverse
+        return nodes.__getitem__, cells, inverse
 
     def _values_at(self, node: int) -> tuple:
         """Oracle values a live process at ``node`` has observed, in
-        chronological order (cached per node, built incrementally)."""
-        known = self._node_values.get(node)
-        if known is not None:
-            return known
+        chronological order."""
+        return self._node_values[node]
+
+    def _held(self, node: int) -> tuple:
+        if node < 0:
+            return ()
         program = self.program
         parent = program.parents[node]
         if parent < 0:
-            held: tuple = ()
-        else:
-            held = self._values_at(parent) + tuple(
-                self.relabel.result_values(
-                    program.ops[parent], program.sent[node]
-                )
-            )
-        self._node_values[node] = held
-        return held
+            return ()
+        return self._node_values[parent] + tuple(
+            self.relabel.result_values(program.ops[parent], program.sent[node])
+        )
 
     def _canonical_node(
         self, node: int, mapping: dict, mapping_key: tuple

@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
+from .compiled import LazyTable, ValueCanonicalizer
 from .runtime import Algorithm, Runtime, RunResult, freeze_value
 
 
@@ -278,12 +279,14 @@ class PrefixSharingEngine:
           (:class:`~repro.shm.compiled.ValueCanonicalizer`) and suffixes
           are stored in the canonical frame — forward-mapped on store,
           inverse-mapped on hit;
-        * without a relabeler, a pre-fork probe
-          (:meth:`~repro.shm.compiled.MachineState.probe_step`) computes
-          each successor's orbit key structurally and serves memo hits
-          before paying for the fork + step (counted as ``lex_pruned``:
-          the branch is subsumed by the orbit representative explored
-          earlier in the engine's lexicographic order).
+        * every branch is probed before it is forked
+          (:meth:`~repro.shm.compiled.MachineState.probe`): the
+          successor's (canonical) orbit key is computed structurally from
+          the step table, and a memo hit is served before paying for the
+          fork + step (counted as ``lex_pruned``: the branch is subsumed
+          by the orbit representative explored earlier in the engine's
+          lexicographic order).  On a miss the key and inverse already
+          computed go to the frame the real step opens.
 
         The differential suites pin the Counter to the legacy explorer's.
         """
@@ -299,8 +302,6 @@ class PrefixSharingEngine:
         relabeler = self.relabeler
         canon = None
         if relabeler is not None:
-            from .compiled import ValueCanonicalizer
-
             program = root.program
             canon = getattr(program, "_engine_canonicalizer", None)
             if canon is None or canon.relabel is not relabeler:
@@ -308,7 +309,6 @@ class PrefixSharingEngine:
                 # Cache on the shared program: canonical-node routing is
                 # reusable across every exploration of this step table.
                 program._engine_canonicalizer = canon
-        probing = canon is None
         still = root.STILL_RUNNING
         max_runs = self.max_runs
         max_depth = self.max_depth
@@ -322,7 +322,7 @@ class PrefixSharingEngine:
         # Accumulators are plain dicts, not Counters: Counter.__iadd__
         # rescans the whole accumulator for positivity on every merge,
         # which dominates the hot loop (counts here are never negative).
-        def leaf(machine) -> dict:
+        def leaf_into(acc: dict, machine) -> None:
             nonlocal produced, runs_l
             produced += 1
             if max_runs is not None and produced > max_runs:
@@ -330,170 +330,177 @@ class PrefixSharingEngine:
                     f"exploration produced more than {max_runs} runs"
                 )
             runs_l += 1
-            return {tuple(freeze_value(v) for v in machine.outputs): 1}
+            full = tuple(freeze_value(v) for v in machine.outputs)
+            acc[full] = acc.get(full, 0) + 1
 
-        def fill(machine, entry, inverse, override_pid, override_value):
+        def lookup(key):
+            entry = memo.get(key)
+            if entry is None and shared is not None:
+                entry = shared.get(key)
+                if entry is not None:
+                    memo[key] = entry
+            return entry
+
+        n = root.n
+
+        def picker(positions: tuple) -> Callable:
+            """Getter building a full output vector from ``base + suffix``:
+            the suffix's slots replace the base at ``positions``."""
+            where = list(range(n))
+            for slot, pos in enumerate(positions):
+                where[pos] = n + slot
+            if n == 1:
+                return lambda row: (row[where[0]],)
+            return itemgetter(*where)
+
+        def projector(positions: tuple) -> Callable:
+            """Getter of the suffix at ``positions`` of a full vector."""
+            if len(positions) == 1:
+                pos = positions[0]
+                return lambda full: (full[pos],)
+            return itemgetter(*positions)
+
+        pickers = LazyTable(picker)
+        projectors = LazyTable(projector)
+
+        def fill_into(acc, machine, entry, inverse, override_pid, override_value):
             """Replay a memoized suffix counter into this state's frame."""
             positions, suffixes = entry
-            base = list(machine.outputs)
-            if override_pid is not None:
+            if override_pid is None:
+                base = tuple(machine.outputs)
+            else:
+                base = machine.outputs.copy()
                 base[override_pid] = override_value
-            out: dict = {}
+                base = tuple(base)
+            pick = pickers[positions]
+            get = acc.get
             if inverse:
-                map_output = relabeler.map_output
+                relabeled = inverse.outputs
                 for suffix, count in suffixes.items():
-                    full = list(base)
-                    for i, v in zip(positions, suffix):
-                        full[i] = map_output(v, inverse)
-                    key = tuple(full)
-                    out[key] = out.get(key, 0) + count
+                    full = pick(base + relabeled[suffix])
+                    acc[full] = get(full, 0) + count
             else:
                 for suffix, count in suffixes.items():
-                    full = list(base)
-                    for i, v in zip(positions, suffix):
-                        full[i] = v
-                    key = tuple(full)
-                    out[key] = out.get(key, 0) + count
-            return out
+                    full = pick(base + suffix)
+                    acc[full] = get(full, 0) + count
 
-        total: dict | None = None
+        total: dict = {}
         stack: list[list[Any]] = []
         _unset = object()
 
-        # Frames: [machine, branches, index, acc, key, inverse, forward,
-        # positions].
-        def open_frame(machine, branches, key=_unset):
+        # Frames: [machine, branches, index, acc, key, forward, positions].
+        def open_frame(machine, branches, key, inverse, into: dict) -> bool:
+            """Serve ``machine`` from the memo into ``into`` (False), or
+            push its frame (True).  ``key`` is the (canonical) orbit key
+            when the probe already computed it, else ``_unset``."""
             nonlocal nodes_l, hits_l, peak_l
-            inverse = forward = None
             if key is _unset:
                 if canon is not None:
                     key, inverse = canon.canonical(machine)
-                    if inverse is not None:
-                        forward = {src: dst for dst, src in inverse.items()}
                 else:
                     key = machine.orbit_key()
             if key is not None:
-                entry = memo.get(key)
-                if entry is None and shared is not None:
-                    entry = shared.get(key)
-                    if entry is not None:
-                        memo[key] = entry
+                entry = lookup(key)
                 if entry is not None:
                     hits_l += 1
-                    return fill(machine, entry, inverse, None, None)
+                    fill_into(into, machine, entry, inverse, None, None)
+                    return False
+            forward = inverse.inverse if inverse else None
             nodes_l += 1
             stack.append(
-                [machine, branches, 0, {}, key, inverse, forward,
-                 tuple(branches)]
+                [machine, branches, 0, {}, key, forward, tuple(branches)]
             )
             if len(stack) > peak_l:
                 peak_l = len(stack)
-            return None
+            return True
 
-        def propagate(outcome: dict) -> None:
-            nonlocal total
-            if stack:
-                acc = stack[-1][3]
-                get = acc.get
-                for full, count in outcome.items():
-                    acc[full] = get(full, 0) + count
-            else:
-                total = outcome
-
+        probe = type(root).probe
+        canonical_probe = None if canon is None else canon.canonical_probe
         try:
             enabled = self._enabled(root, allowed)
             if not enabled:
-                return Counter(leaf(root))
-            hit = open_frame(root, enabled)
-            if hit is not None:
-                return Counter(hit)
+                leaf_into(total, root)
+                return Counter(total)
+            open_frame(root, enabled, _unset, None, total)
             while stack:
                 frame = stack[-1]
-                machine, branches, index = frame[0], frame[1], frame[2]
-                if index == len(branches):
-                    acc = frame[3]
+                machine, branches, index, acc = frame[:4]
+                last = len(branches)
+                while index < last:
+                    pid = branches[index]
+                    index += 1
+                    pkey = _unset
+                    inverse = None
+                    parts = probe(machine, pid)
+                    # A step that decides the frame's last undecided
+                    # process ends the run: leaves are never memoized, so
+                    # skip the key.
+                    if parts is not None and (parts[3] is still or last > 1):
+                        if canonical_probe is None:
+                            pkey = (parts[0], parts[1], parts[2], ())
+                        else:
+                            pkey, inverse = canonical_probe(machine, parts)
+                        entry = lookup(pkey)
+                        if entry is not None:
+                            hits_l += 1
+                            lex_l += 1
+                            if parts[3] is still:
+                                fill_into(
+                                    acc, machine, entry, inverse, None, None
+                                )
+                            else:
+                                fill_into(
+                                    acc, machine, entry, inverse, pid, parts[3]
+                                )
+                            continue
+                    if index == last:
+                        child = machine
+                    else:
+                        child = machine.fork()
+                        forks_l += 1
+                    child.step(pid)
+                    if child.step_count > max_depth:
+                        self._check_depth(child)
+                    if full_set:
+                        child_enabled = child.enabled_pids()
+                    else:
+                        child_enabled = [
+                            p for p in child.enabled_pids() if p in allowed
+                        ]
+                    if not child_enabled:
+                        leaf_into(acc, child)
+                    elif open_frame(child, child_enabled, pkey, inverse, acc):
+                        break  # descend; this frame resumes at `index`
+                else:
+                    # Every branch is done: memoize the frame, merge it up.
                     key = frame[4]
                     if key is not None:
-                        positions = frame[7]
-                        forward = frame[6]
+                        positions = frame[6]
+                        forward = frame[5]
+                        project = projectors[positions]
                         suffixes: dict = {}
+                        get = suffixes.get
                         if forward:
-                            map_output = relabeler.map_output
+                            relabeled = forward.outputs
                             for full, count in acc.items():
-                                suffix = tuple(
-                                    map_output(full[i], forward)
-                                    for i in positions
-                                )
-                                suffixes[suffix] = (
-                                    suffixes.get(suffix, 0) + count
-                                )
-                        elif len(positions) == 1:
-                            pos = positions[0]
-                            for full, count in acc.items():
-                                suffix = (full[pos],)
-                                suffixes[suffix] = (
-                                    suffixes.get(suffix, 0) + count
-                                )
+                                suffix = relabeled[project(full)]
+                                suffixes[suffix] = get(suffix, 0) + count
                         else:
-                            project = itemgetter(*positions)
                             for full, count in acc.items():
                                 suffix = project(full)
-                                suffixes[suffix] = (
-                                    suffixes.get(suffix, 0) + count
-                                )
+                                suffixes[suffix] = get(suffix, 0) + count
                         entry = (positions, suffixes)
                         memo[key] = entry
                         orbits_l += 1
                         if shared is not None:
                             shared.offer(key, entry)
                     stack.pop()
-                    propagate(acc)
+                    into = stack[-1][3] if stack else total
+                    get = into.get
+                    for full, count in acc.items():
+                        into[full] = get(full, 0) + count
                     continue
-                frame[2] = index + 1
-                pid = branches[index]
-                pkey = _unset
-                if probing:
-                    probed = machine.probe_step(pid)
-                    if probed is not None:
-                        pkey, decided = probed
-                        entry = memo.get(pkey)
-                        if entry is None and shared is not None:
-                            entry = shared.get(pkey)
-                            if entry is not None:
-                                memo[pkey] = entry
-                        if entry is not None:
-                            hits_l += 1
-                            lex_l += 1
-                            if decided is still:
-                                propagate(
-                                    fill(machine, entry, None, None, None)
-                                )
-                            else:
-                                propagate(
-                                    fill(machine, entry, None, pid, decided)
-                                )
-                            continue
-                if frame[2] == len(branches):
-                    child = machine
-                else:
-                    child = machine.fork()
-                    forks_l += 1
-                child.step(pid)
-                if child.step_count > max_depth:
-                    self._check_depth(child)
-                if full_set:
-                    child_enabled = child.enabled_pids()
-                else:
-                    child_enabled = [
-                        p for p in child.enabled_pids() if p in allowed
-                    ]
-                if not child_enabled:
-                    propagate(leaf(child))
-                    continue
-                hit = open_frame(child, child_enabled, key=pkey)
-                if hit is not None:
-                    propagate(hit)
-            assert total is not None
+                frame[2] = index
             return Counter(total)
         finally:
             stats = self.stats

@@ -21,26 +21,43 @@ workers:
   translates orbit keys into **process-stable** form (trie node ids are
   allocation-ordered and worker-local; frame-signature digests
   (:meth:`~repro.shm.compiled.CompiledProtocol.stable_pc`) name the local
-  state itself), keeps a local cache of everything read so far, and
-  polls the ring every ``poll_interval`` lookups rather than per miss.
-  Keys containing an unsignable node are neither published nor consulted
-  — they stay worker-local, which is always sound.
+  state itself) through a memoised node -> token map, keeps a local
+  cache of everything read so far, and polls the ring every
+  ``poll_interval`` lookups rather than per miss.  Keys containing an
+  unsignable node are neither published nor consulted — they stay
+  worker-local, which is always sound.
 
-Entries are pickled ``(stable key, positions, suffix items)`` triples —
-the same suffix-counter representation the engine memoizes, so a remote
-hit replays exactly like a local one.
+Each record carries the id of the adapter that wrote it, so a reader
+skips its own records without unpickling them.  Payloads are pickled
+``(stable key, positions, suffix items)`` triples — the same
+suffix-counter representation the engine memoizes, so a remote hit
+replays exactly like a local one.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import pickle
 import struct
 from typing import Any, Iterable
 
-__all__ = ["OrbitMemoRing", "SharedOrbitMemo"]
+from .compiled import LazyTable
+
+__all__ = [
+    "OrbitMemoRing",
+    "SharedOrbitMemo",
+    "attach_shared_memo",
+    "fold_share_counters",
+    "share_counters",
+]
 
 _HEADER = struct.Struct("<Q")  # committed payload bytes past the header
-_LENGTH = struct.Struct("<I")  # per-record payload length
+_RECORD = struct.Struct("<IQ")  # per-record payload length, writer id
+
+#: Per-process source of adapter ids; combined with the pid, an id names
+#: one :class:`SharedOrbitMemo` across every process attached to a ring.
+_ADAPTER_IDS = itertools.count(1)
 
 #: Default segment capacity.  Entries are small (a key + a few dozen
 #: suffix pairs, ~1 KiB pickled); 16 MiB holds the heavy shared core of
@@ -54,21 +71,24 @@ _SHARE_TOTALS = {
     "hits": 0,  # engine lookups served from the exchange
     "unstable_keys": 0,  # keys skipped: some node had no stable token
     "full_drops": 0,  # publishes dropped because the segment was full
+    "attach_failures": 0,  # workers that could not attach to the ring
 }
+
+
+def share_counters() -> dict:
+    """A snapshot of this process's exchange counters."""
+    return dict(_SHARE_TOTALS)
 
 
 def _register_share_counters() -> None:
     from ..core.cache_config import register_counters
-
-    def _stats() -> dict:
-        return dict(_SHARE_TOTALS)
 
     def _clear() -> None:
         for key in _SHARE_TOTALS:
             _SHARE_TOTALS[key] = 0
 
     try:
-        register_counters("engine.memo_share", _stats, _clear)
+        register_counters("engine.memo_share", share_counters, _clear)
     except ValueError:  # pragma: no cover - double import guard
         pass
 
@@ -80,9 +100,9 @@ class OrbitMemoRing:
     """Append-only record log in one shared-memory segment.
 
     Layout: ``[u64 committed][record]*`` where each record is
-    ``[u32 length][payload]``.  ``committed`` counts payload-region bytes
-    and is advanced *after* the record bytes are in place, so a reader
-    that trusts the header never sees a torn record.  Appends must be
+    ``[u32 length][u64 writer][payload]``.  ``committed`` counts
+    payload-region bytes and is advanced *after* the record bytes are in
+    place, so a reader that trusts the header never sees a torn record.  Appends must be
     serialized by the caller (one ``multiprocessing.Lock`` across all
     writers); reads need no lock.
     """
@@ -114,34 +134,39 @@ class OrbitMemoRing:
     def committed(self) -> int:
         return _HEADER.unpack_from(self._shm.buf, 0)[0]
 
-    def append(self, payload: bytes) -> bool:
-        """Append one record; False when the segment is full.
+    def append(self, payload: bytes, writer: int = 0) -> bool:
+        """Append one record tagged ``writer``; False when the segment is
+        full.
 
         The caller must hold the single writer lock across the
         read-committed / write / advance-committed sequence.
         """
         committed = self.committed
-        need = _LENGTH.size + len(payload)
+        need = _RECORD.size + len(payload)
         if committed + need > self.capacity:
             return False
         offset = _HEADER.size + committed
         buf = self._shm.buf
-        _LENGTH.pack_into(buf, offset, len(payload))
-        buf[offset + _LENGTH.size : offset + need] = payload
+        _RECORD.pack_into(buf, offset, len(payload), writer)
+        buf[offset + _RECORD.size : offset + need] = payload
         _HEADER.pack_into(buf, 0, committed + need)
         return True
 
-    def read_new(self, offset: int) -> tuple[list[bytes], int]:
-        """Records appended past ``offset``; returns them + the new offset."""
+    def read_new(
+        self, offset: int, skip_writer: int | None = None
+    ) -> tuple[list[bytes], int]:
+        """Records appended past ``offset``, except those ``skip_writer``
+        wrote; returns them + the new offset."""
         committed = self.committed
         out: list[bytes] = []
         buf = self._shm.buf
         while offset < committed:
             start = _HEADER.size + offset
-            (length,) = _LENGTH.unpack_from(buf, start)
-            body = start + _LENGTH.size
-            out.append(bytes(buf[body : body + length]))
-            offset += _LENGTH.size + length
+            length, writer = _RECORD.unpack_from(buf, start)
+            if writer != skip_writer:
+                body = start + _RECORD.size
+                out.append(bytes(buf[body : body + length]))
+            offset += _RECORD.size + length
         return out, offset
 
     def close(self) -> None:
@@ -168,7 +193,9 @@ class SharedOrbitMemo:
             least this many logical runs — tiny subtrees cost more to
             ship than to recompute.
         poll_interval: consult the ring for new records once per this
-            many ``get`` calls (plus once up front).
+            many ``get`` calls (plus once up front).  A poll that finds
+            nothing new reads one header word, so polling often is cheap,
+            and entries imported sooner save the reader duplicate work.
     """
 
     def __init__(
@@ -177,11 +204,10 @@ class SharedOrbitMemo:
         lock: Any,
         program: Any = None,
         min_weight: int = 8,
-        poll_interval: int = 512,
+        poll_interval: int = 32,
     ):
         self._ring = ring
         self._lock = lock
-        self._program = program
         self._min_weight = min_weight
         self._poll_interval = poll_interval
         self._countdown = 0
@@ -189,26 +215,30 @@ class SharedOrbitMemo:
         self._full = False
         self._cache: dict[Any, tuple] = {}
         self._published: set = set()
+        #: This adapter's id on the ring: its own records are skipped.
+        self.writer = (os.getpid() << 32) | next(_ADAPTER_IDS)
+        #: node -> stable token (negative program counters stay as-is)
+        self._tokens = None
+        if program is not None:
+            stable_pc = program.stable_pc
+            self._tokens = LazyTable(
+                lambda node: node if node < 0 else stable_pc(node)
+            )
 
     def _stable_key(self, key: tuple) -> tuple | None:
-        program = self._program
-        if program is None:
+        tokens = self._tokens
+        if tokens is None:
             return key
-        stable_pc = program.stable_pc
-        pcs = []
-        for node in key[0]:
-            if node < 0:
-                pcs.append(node)
-            else:
-                token = stable_pc(node)
-                if token is None:
-                    _SHARE_TOTALS["unstable_keys"] += 1
-                    return None
-                pcs.append(token)
-        return (tuple(pcs),) + key[1:]
+        pcs = tuple(map(tokens.__getitem__, key[0]))
+        if None in pcs:
+            _SHARE_TOTALS["unstable_keys"] += 1
+            return None
+        return (pcs,) + key[1:]
 
     def _poll(self) -> None:
-        records, self._offset = self._ring.read_new(self._offset)
+        records, self._offset = self._ring.read_new(
+            self._offset, skip_writer=self.writer
+        )
         for blob in records:
             stable, positions, items = pickle.loads(blob)
             if stable not in self._cache:
@@ -243,13 +273,34 @@ class SharedOrbitMemo:
             (stable, positions, list(suffixes.items())), protocol=4
         )
         with self._lock:
-            appended = self._ring.append(blob)
+            appended = self._ring.append(blob, self.writer)
         self._published.add(stable)
         if appended:
             _SHARE_TOTALS["publishes"] += 1
         else:
             self._full = True
             _SHARE_TOTALS["full_drops"] += 1
+
+
+def fold_share_counters(delta: dict) -> None:
+    """Add another process's exchange-counter delta into this one's (a
+    pool worker's counters otherwise never reach the parent)."""
+    for key, value in delta.items():
+        _SHARE_TOTALS[key] = _SHARE_TOTALS.get(key, 0) + value
+
+
+def attach_shared_memo(
+    ring_name: str, lock: Any, program: Any
+) -> SharedOrbitMemo | None:
+    """Worker-side adapter over an existing ring; None when the segment
+    cannot be attached (counted as ``attach_failures``: the worker then
+    explores with its own memo only, which is always sound)."""
+    try:
+        ring = OrbitMemoRing(name=ring_name)
+    except Exception:
+        _SHARE_TOTALS["attach_failures"] += 1
+        return None
+    return SharedOrbitMemo(ring, lock, program=program)
 
 
 def drain_entries(ring: OrbitMemoRing) -> Iterable[tuple]:

@@ -28,12 +28,19 @@ exceed a serial memoized exploration's.  Two mechanisms close that gap:
   (:meth:`~repro.shm.compiled.CompiledProtocol.import_table`); the
   per-process :func:`_cached_spec_factory` remains the fallback for
   unregistered specs and table mismatches;
-* workers exchange finished orbit-memo entries through a shared-memory ring (:mod:`repro.shm.memoshare`),
-  publishing heavy subtrees and consulting the ring before descending —
-  cross-subtree sharing without cross-worker locking on the read path.
+* each pool worker keeps one orbit memo across every shard of the
+  exploration it lands (all shards share the participant set, so this is
+  as sound as the in-parent serial path's single memo), and workers
+  exchange finished orbit-memo entries through a shared-memory ring
+  (:mod:`repro.shm.memoshare`), publishing heavy subtrees and consulting
+  the ring before descending — cross-subtree sharing without
+  cross-worker locking on the read path.
 
 The returned multiset is identical either way, which the tests pin
-against the serial engine.
+against the serial engine.  Each shard job also returns its worker's
+exchange-counter delta, which the parent folds into its own
+``engine.memo_share`` counters, and every fallback (no pool, a retried
+shard, no ring) is counted under ``engine.parallel``.
 """
 
 from __future__ import annotations
@@ -50,6 +57,11 @@ from .engine import (
     get_spec,
     make_spec_machine,
 )
+from .memoshare import (
+    attach_shared_memo,
+    fold_share_counters,
+    share_counters,
+)
 from .runtime import freeze_value
 
 __all__ = [
@@ -58,6 +70,36 @@ __all__ = [
     "explore_decided_parallel",
     "shard_frontier",
 ]
+
+
+#: Process-wide sharding counters (registered with core.cache_config).
+_PARALLEL_TOTALS = {
+    "explorations": 0,  # sharded explorations
+    "shards": 0,  # frontier prefixes dispatched
+    "pooled_shards": 0,  # shards a process pool completed
+    "pool_unavailable": 0,  # pools that could not start: shards ran in-process
+    "shard_retries": 0,  # failed shards resubmitted on a fresh pool
+    "ring_unavailable": 0,  # memo rings the parent could not create
+}
+
+
+def _register_parallel_counters() -> None:
+    from ..core.cache_config import register_counters
+
+    def _stats() -> dict:
+        return dict(_PARALLEL_TOTALS)
+
+    def _clear() -> None:
+        for key in _PARALLEL_TOTALS:
+            _PARALLEL_TOTALS[key] = 0
+
+    try:
+        register_counters("engine.parallel", _stats, _clear)
+    except ValueError:  # pragma: no cover - double import guard
+        pass
+
+
+_register_parallel_counters()
 
 
 @dataclass
@@ -151,18 +193,26 @@ def _cached_spec_factory(name: str, n: int, table=None):
     return factory
 
 
-#: Worker-global shared orbit memo, installed by the pool initializer
-#: (None in the parent and in initializer-less pools).
+#: Worker globals, installed by the pool initializer (None in the parent
+#: and in initializer-less pools): the shared orbit-memo adapter, the
+#: orbit memo every shard on this worker shares, and the exchange
+#: counters as last reported to the parent.
 _WORKER_SHARED = None
+_WORKER_MEMO: dict | None = None
+_WORKER_REPORTED: dict | None = None
 
 
 def _init_worker(
     name: str, n: int, table, ring_name: str | None, lock
 ) -> None:
     """Pool-worker initializer: seed the factory cache (adopting the
-    parent's pre-traced table) and attach the shared orbit-memo ring."""
-    global _WORKER_SHARED
+    parent's pre-traced table), start the worker's orbit memo and attach
+    the shared orbit-memo ring."""
+    global _WORKER_SHARED, _WORKER_MEMO, _WORKER_REPORTED
     _WORKER_SHARED = None
+    _WORKER_MEMO = {}
+    # Forked workers inherit the parent's counters: report from here on.
+    _WORKER_REPORTED = share_counters()
     try:
         factory = _cached_spec_factory(name, n, table=table)
     except Exception:
@@ -170,18 +220,24 @@ def _init_worker(
         # error reaches the parent attached to a shard instead of killing
         # the worker at startup.
         return
-    if ring_name is None or lock is None:
-        return
-    try:
-        from .memoshare import OrbitMemoRing, SharedOrbitMemo
+    if ring_name is not None and lock is not None:
+        _WORKER_SHARED = attach_shared_memo(ring_name, lock, factory.program)
 
-        _WORKER_SHARED = SharedOrbitMemo(
-            OrbitMemoRing(name=ring_name),
-            lock,
-            program=factory.program,
-        )
-    except Exception:
-        _WORKER_SHARED = None  # sharing is an optimization, never required
+
+def _share_delta() -> dict:
+    """This worker's exchange-counter delta since it last reported ({}
+    outside pool workers, whose counters already are the caller's)."""
+    global _WORKER_REPORTED
+    if _WORKER_REPORTED is None:
+        return {}
+    now = share_counters()
+    delta = {
+        key: value - _WORKER_REPORTED.get(key, 0)
+        for key, value in now.items()
+        if value != _WORKER_REPORTED.get(key, 0)
+    }
+    _WORKER_REPORTED = now
+    return delta
 
 
 def _run_pooled(
@@ -198,7 +254,9 @@ def _run_pooled(
 
     Returns ``(pooled, registry_miss)``: ``pooled`` is False when no
     pool could start at all (executor-hostile sandbox — the caller runs
-    everything serially, silently, as before); ``registry_miss`` is the
+    everything serially and counts ``pool_unavailable``); each finished
+    shard's exchange-counter delta is folded into this process's
+    counters as it arrives; ``registry_miss`` is the
     unresolvable spec name when a worker raised ``KeyError`` — that
     failure is deterministic, so the caller warns and skips the retry.
     Individually failed shards simply stay ``None`` in ``outcomes``.
@@ -219,11 +277,15 @@ def _run_pooled(
             ]
             for index, future in zip(indices, futures):
                 try:
-                    outcomes[index] = future.result()
+                    counter, stats, share = future.result()
                 except KeyError as error:
                     registry_miss = error.args[0] if error.args else error
                 except (OSError, BrokenProcessPool):
                     pass  # this shard failed; the caller may retry it
+                else:
+                    fold_share_counters(share)
+                    outcomes[index] = (counter, stats)
+                    _PARALLEL_TOTALS["pooled_shards"] += 1
     except (OSError, BrokenProcessPool):
         return False, registry_miss
     return True, registry_miss
@@ -235,14 +297,17 @@ def _subtree_job(
     prefix: tuple[int, ...],
     options: dict,
     orbit_memo: dict | None = None,
-) -> tuple[Counter, EngineStats]:
+) -> tuple[Counter, EngineStats, dict]:
     """Module-level worker: rebuild the machine, step the prefix, explore.
 
     Jobs are dispatched by registry name so the executor can spawn-start
     workers; an unregistered name raises :class:`KeyError` here, which the
     parent reports loudly before degrading to serial execution.
     ``orbit_memo`` lets the in-parent serial path share one orbit table
-    across shards (pool workers share through the ring instead).
+    across shards; a pool worker shares its own across the shards it
+    runs, and with other workers through the ring.  Returns the shard's
+    counter, its stats (``peak_stack`` counted from the tree's root, like
+    the serial engine's) and the worker's exchange-counter delta.
     """
     factory = _cached_spec_factory(name, n)
 
@@ -257,11 +322,12 @@ def _subtree_job(
         max_runs=options.get("max_runs"),
         max_depth=options.get("max_depth", 10_000),
         relabeler=get_spec(name).value_relabel,
-        orbit_memo=orbit_memo,
+        orbit_memo=_WORKER_MEMO if orbit_memo is None else orbit_memo,
         shared_memo=_WORKER_SHARED,
     )
     counter = engine.decided_vectors()
-    return counter, engine.stats
+    engine.stats.peak_stack += len(prefix)
+    return counter, engine.stats, _share_delta()
 
 
 def explore_decided_parallel(
@@ -302,6 +368,8 @@ def explore_decided_parallel(
     prefixes, shallow_leaves, forks = shard_frontier(
         factory, depth, max_runs=max_runs
     )
+    _PARALLEL_TOTALS["explorations"] += 1
+    _PARALLEL_TOTALS["shards"] += len(prefixes)
     local_runs = sum(shallow_leaves.values())
     stats.forks += forks
     stats.runs += local_runs
@@ -332,7 +400,8 @@ def explore_decided_parallel(
                     lock = mp.Lock()
                 except Exception:
                     # No shared memory here (sandbox without /dev/shm):
-                    # workers run with per-process memos, as before.
+                    # workers run with per-process memos only.
+                    _PARALLEL_TOTALS["ring_unavailable"] += 1
                     ring = None
                     ring_name = None
                     lock = None
@@ -341,6 +410,8 @@ def explore_decided_parallel(
                 spec_name, n, prefixes, options, jobs, outcomes,
                 initargs=initargs,
             )
+            if not pooled:
+                _PARALLEL_TOTALS["pool_unavailable"] += 1
             if registry_miss is not None:
                 warnings.warn(
                     f"subtree-parallel exploration of {spec_name!r} fell "
@@ -358,6 +429,7 @@ def explore_decided_parallel(
                 # One retry on a fresh pool: a transient worker death (OOM
                 # kill, sandbox hiccup) should not instantly serialize the
                 # whole exploration.
+                _PARALLEL_TOTALS["shard_retries"] += len(failed)
                 pooled, _ = _run_pooled(
                     spec_name,
                     n,
@@ -368,6 +440,8 @@ def explore_decided_parallel(
                     indices=failed,
                     initargs=initargs,
                 )
+                if not pooled:
+                    _PARALLEL_TOTALS["pool_unavailable"] += 1
                 still = [i for i, done in enumerate(outcomes) if done is None]
                 if still:
                     named = ", ".join(
@@ -384,10 +458,11 @@ def explore_decided_parallel(
         serial_memo: dict = {}
         for index, done in enumerate(outcomes):
             if done is None:
-                outcomes[index] = _subtree_job(
+                counter, shard_stats, _ = _subtree_job(
                     spec_name, n, prefixes[index], options,
                     orbit_memo=serial_memo,
                 )
+                outcomes[index] = (counter, shard_stats)
     finally:
         if ring is not None:
             ring.close()

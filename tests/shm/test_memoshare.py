@@ -91,6 +91,22 @@ class TestSharedOrbitMemo:
         assert positions == (0, 1)
         assert suffixes == {("a", "a"): 5}
 
+    def test_reader_skips_own_records_but_imports_others(self, ring):
+        # Two adapters in one process: ids are per adapter, not per pid.
+        first = SharedOrbitMemo(ring, _FakeLock(), min_weight=1)
+        second = SharedOrbitMemo(ring, _FakeLock(), min_weight=1)
+        assert first.writer != second.writer
+        own, theirs = ((-1,), (), (0,), ()), ((-2,), (), (0,), ())
+        first.offer(own, entry(5))
+        second.offer(theirs, entry(7))
+        assert first.get(theirs) == ((0, 1), {("a", "a"): 7})
+        # Its own record was skipped unread, so it never entered the
+        # import cache (the engine's memo already holds it).
+        assert own not in first._cache
+        assert set(first._cache) == {theirs}
+        records, _ = ring.read_new(0, skip_writer=first.writer)
+        assert [pickle.loads(blob)[0] for blob in records] == [theirs]
+
     def test_min_weight_gates_publication(self, ring):
         memo = SharedOrbitMemo(ring, _FakeLock(), min_weight=10)
         memo.offer(((-1,), (), (0,), ()), entry(9))

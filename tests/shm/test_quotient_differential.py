@@ -11,9 +11,13 @@ semantics) is the oracle, so this suite pins:
 * **multiset identity** — for every registry spec at n <= 3, the
   quotiented decided-vector Counter is byte-identical to the legacy
   explorer's (serial, sharded, proper-subset and all-subset paths);
-* **probe fidelity** — :meth:`MachineState.probe_step`'s predicted orbit
-  key and decided value match a real fork + step at every reachable
-  state of a bounded walk;
+* **probe fidelity** — :meth:`MachineState.probe`'s predicted orbit
+  key parts, decided value and acquiring oracle match a real fork + step
+  at every reachable state of a bounded walk, and for the relabelled spec the canonical key
+  and inverse computed from :meth:`MachineState.probe`'s parts match
+  ``canonical()`` of the stepped successor at every reachable state;
+* **same search** — the serial relabelled search is pinned counter for
+  counter, with a digest of its decided-vector multiset;
 * **canonical idempotence** — :class:`ValueCanonicalizer` output is a
   fixpoint: the free values of a canonical key already appear in
   ascending first-occurrence order, so a second pass is the identity;
@@ -165,19 +169,92 @@ class TestProbeFidelity:
         checked = 0
         for machine in walk_states(make_machine):
             for pid in machine.enabled_pids():
-                probed = machine.probe_step(pid)
+                probed = machine.probe(pid)
                 child = machine.fork()
                 child.step(pid)
                 if probed is None:
                     continue  # untraced edge / generic: real path required
-                key, decided = probed
+                pcs, cells, acquired, decided, oracle = probed
+                key = (pcs, cells, acquired, ())
                 assert key == child.orbit_key(), (name, n, pid)
+                for index, mask in enumerate(machine._oracle_acquired):
+                    grown = mask | (1 << pid) if index == oracle else mask
+                    assert acquired[index] == grown
                 if decided is still:
                     assert child._pc[pid] >= 0
                 else:
                     assert child.outputs[pid] == decided
                 checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_relabelled_probe_matches_canonical_after_step(self, n):
+        # Every reachable state x enabled pid of the relabelled spec: the
+        # canonical key and inverse computed from the probed parts equal
+        # canonical() of the forked + stepped successor.
+        spec = get_spec("renaming")
+        make_machine = make_spec_machine(spec, n, frame_nodes=True)
+        canon = ValueCanonicalizer(make_machine.program, spec.value_relabel)
+        seen, stack = set(), [make_machine()]
+        checked = relabelled = 0
+        while stack:
+            machine = stack.pop()
+            state = machine.state_key()
+            if state in seen:
+                continue
+            seen.add(state)
+            for pid in machine.enabled_pids():
+                child = machine.fork()
+                child.step(pid)  # traces the edge, so the probe resolves
+                parts = machine.probe(pid)
+                assert parts is not None
+                key, inverse = canon.canonical_probe(machine, parts)
+                assert (key, inverse) == canon.canonical(child), (n, pid)
+                checked += 1
+                relabelled += bool(inverse)
+                stack.append(child)
+        assert checked == {2: 40, 3: 597, 4: 9864}[n]
+        if n >= 3:
+            assert relabelled > 0
+
+
+class TestRelabelledSearchPinned:
+    """The serial ``renaming`` search, counter for counter.
+
+    Probing before the fork changes only how many branches are forked
+    (``forks``) and how many hits are served before the fork
+    (``lex_pruned``); the orbits, hits, nodes, runs, stack depth and the
+    decided-vector multiset are those of the fork-first search.
+    """
+
+    PINNED = {
+        4: (
+            dict(
+                nodes=871, runs=24, forks=362, peak_stack=12, orbits=871,
+                orbit_hits=1602, lex_pruned=1492,
+            ),
+            "090b61b9eccb771c4da80a28c1ff96f80f385764c3832835ee27f45fa93346f1",
+        ),
+        5: (
+            dict(
+                nodes=5766, runs=50, forks=2219, peak_stack=15, orbits=5766,
+                orbit_hits=14900, lex_pruned=14313,
+            ),
+            "b1dcb9dae3b6745fe20fd26bf248ea3d1d67f416939267223f1080fc03f31e18",
+        ),
+    }
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_counters_and_multiset_digest(self, n):
+        import hashlib
+
+        stats = EngineStats()
+        decisions = quotient_engine("renaming", n, stats=stats).decided_vectors()
+        counters, digest = self.PINNED[n]
+        got = stats.to_json()
+        assert {key: got[key] for key in counters} == counters
+        blob = repr(sorted(decisions.items())).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
 
 class TestCanonicalIdempotence:
