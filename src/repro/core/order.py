@@ -18,6 +18,7 @@ import networkx as nx
 from .canonical import canonical_parameters, canonical_representative, is_canonical
 from .feasibility import feasible_bound_pairs
 from .gsb import SymmetricGSBTask
+from .kernel import kernel_vectors
 
 
 def is_harder(task: SymmetricGSBTask, other: SymmetricGSBTask) -> bool:
@@ -120,22 +121,25 @@ def kernel_bitmasks(
     kernel column of the loosest ``<n, m, 0, n>`` task belongs to the
     kernel set of ``<n, m, l, u>`` — a weakly decreasing vector lies
     within bounds iff its first entry is ``<= u`` and its last ``>= l``.
-    Containment then collapses to integer subset tests:
+    Columns are therefore grouped by ``(first, last)`` entry once, and a
+    pair's mask is the OR of the groups it admits.  Containment then
+    collapses to integer subset tests:
     ``S(a) superset S(b)`` iff ``mask_b & ~mask_a == 0``.  This is the
     shared substrate of :func:`containment_digraph` and the universe
     graph subsystem (:mod:`repro.universe.graph`).
     """
-    from .store import get_store  # store sits above order in core's init
-
-    columns = get_store().kernel_columns(n, m)
+    groups: dict[tuple[int, int], int] = {}
+    for bit, vector in enumerate(kernel_vectors(n, m, 0, n)):
+        ends = (vector[0], vector[-1])
+        groups[ends] = groups.get(ends, 0) | 1 << bit
     masks: dict[tuple[int, int], int] = {}
     for low, high in pairs:
         if (low, high) in masks:
             continue
         mask = 0
-        for bit, vector in enumerate(columns):
-            if vector[0] <= high and vector[-1] >= low:
-                mask |= 1 << bit
+        for (first, last), bits in groups.items():
+            if first <= high and last >= low:
+                mask |= bits
         masks[(low, high)] = mask
     return masks
 

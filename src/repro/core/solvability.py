@@ -161,14 +161,35 @@ def brute_force_communication_free(task: GSBTask) -> bool:
 
 
 def decision_function_is_valid(task: GSBTask, delta: dict[int, int]) -> bool:
-    """Whether ``delta`` solves ``task`` for every participating id set."""
-    identities = list(identity_space(task.n))
+    """Whether ``delta`` solves ``task`` for every participating id set.
+
+    Exhaustive over the ``C(2n-1, n)`` participating sets.  Legality
+    depends only on how many chosen processes decide each value, so the
+    sets are enumerated over the sorted list of decided values: every
+    chosen tuple comes out sorted, equal multisets collapse to one tuple,
+    and each distinct tuple is counted per value against the bound
+    tuples.  Every value of ``delta`` lies in some participating set, so
+    an out-of-range value fails the whole function up front; a value
+    ``delta`` never decides has count 0 in every set, so its lower bound
+    is checked once.
+    """
+    identities = identity_space(task.n)
     if set(delta) != set(identities):
         return False
-    for chosen in itertools.combinations(identities, task.n):
-        outputs = [delta[identity] for identity in chosen]
-        if not task.is_legal_output(outputs):
-            return False
+    values = sorted(delta[identity] for identity in identities)
+    if not 1 <= values[0] <= values[-1] <= task.m:
+        return False
+    lower, upper = task.bounds.lower, task.bounds.upper
+    decided = sorted(set(values))
+    if any(
+        low > 0 for value, low in enumerate(lower, start=1) if value not in decided
+    ):
+        return False
+    checks = [(value, lower[value - 1], upper[value - 1]) for value in decided]
+    for chosen in set(itertools.combinations(values, task.n)):
+        for value, low, high in checks:
+            if not low <= chosen.count(value) <= high:
+                return False
     return True
 
 

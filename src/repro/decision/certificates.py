@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from ..core import cache_config
 from ..core.gsb import GSBTask, SymmetricGSBTask
 from ..core.kernel import kernel_vectors
 from ..core.solvability import Solvability
@@ -60,6 +61,26 @@ MAX_CHECK_FACETS = 1_000_000
 #: Largest n for which a decision-map check also replays the compiled
 #: protocol exhaustively on the shm engine (cost grows super-exponentially).
 MAX_ENGINE_REPLAY_N = 3
+
+#: Largest number of participating sets, ``C(2n-1, n)``, over which a
+#: Theorem 9 witness is replayed; beyond it the closed form is the
+#: evidence.  n <= 7 passes the gate.
+MAX_WITNESS_SUBSETS = 2_000
+
+#: Theorem 9 witness checks by outcome, exposed as ``decision.replay``
+#: in :func:`repro.core.cache_config.cache_stats`: replayed over every
+#: participating set, or skipped because the set count passes the gate.
+_REPLAY_TOTALS = {"witness_replayed": 0, "witness_beyond_gate": 0}
+
+
+def _clear_replay_totals() -> None:
+    for key in _REPLAY_TOTALS:
+        _REPLAY_TOTALS[key] = 0
+
+
+cache_config.register_counters(
+    "decision.replay", lambda: dict(_REPLAY_TOTALS), _clear_replay_totals
+)
 
 
 def canonical_json(payload: Mapping) -> str:
@@ -252,10 +273,12 @@ class TheoremCertificate(Certificate):
 
         Exhaustive over the C(2n-1, n) participating subsets, so gated to
         small n; beyond the gate the closed-form condition already checked
-        is the evidence.
+        is the evidence.  Both outcomes are counted in ``decision.replay``.
         """
-        if math.comb(2 * n - 1, n) > 2_000:
+        if math.comb(2 * n - 1, n) > MAX_WITNESS_SUBSETS:
+            _REPLAY_TOTALS["witness_beyond_gate"] += 1
             return []
+        _REPLAY_TOTALS["witness_replayed"] += 1
         from ..core.solvability import (
             communication_free_decision_function,
             decision_function_is_valid,

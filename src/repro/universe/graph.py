@@ -13,8 +13,8 @@ solution of v yields a solution of u* (v is at least as hard as u):
   order (Section 4.4).  ``S(v) subset S(u)`` means every v-legal output is
   u-legal, so v's algorithm solves u directly.  Computed by kernel-set
   **bitmask** subset tests over the family's master column list instead of
-  pairwise ``includes()`` on task objects, then transitively reduced, so a
-  cell's edges are exactly its Figure-1 Hasse diagram.
+  pairwise ``includes()`` on task objects, then transitively reduced in
+  integer ops, so a cell's edges are exactly its Figure-1 Hasse diagram.
 * ``theorem8`` — universality of perfect renaming: ``<n, n, 1, 1>`` solves
   every GSB task on n processes.  One edge per family, from the family's
   hardest node (Theorem 5's unique sink, which every sibling already
@@ -55,13 +55,11 @@ import networkx as nx
 
 from ..core.bounds import GSBSpecificationError
 from ..core.canonical import canonical_parameters
-from ..core.feasibility import is_feasible_symmetric
+from ..core.feasibility import feasible_bound_pairs, is_feasible_symmetric
 from ..core.gsb import GSBTask, SymmetricGSBTask
-# kernel_bitmasks lives in core.order (it only needs the family store)
-# and is re-exported here: the universe builds on the same masks that
-# power containment_digraph.
+# Re-exported: the universe builds on the same masks that power
+# core.order's containment_digraph.
 from ..core.order import hardest_parameters, kernel_bitmasks
-from ..core.store import get_store
 
 NodeKey = tuple[int, int, int, int]  # canonical (n, m, l, u)
 
@@ -166,72 +164,95 @@ def _family_labels(n: int, m: int) -> dict[tuple[int, int], tuple[str, ...]]:
 def build_cell(n: int, m: int) -> UniverseCell:
     """Materialize one family's synonym classes and cover edges.
 
-    Rides the memoized family store for entries and kernel columns; the
-    containment relation is computed on bitmasks and transitively reduced,
-    so the cell's edge set *is* the family's Figure-1 Hasse diagram.
-    Verdicts come from the structural decision tiers (certified closed
-    forms plus value padding), and every non-OPEN node carries its
-    certificate id with the payload stored on the cell.
+    Built from parameters and masks alone: every feasible ``(l, u)`` maps
+    through :func:`canonical_parameters` to its synonym class, the classes
+    are listed in Table 1 order (decreasing u, then increasing l), and
+    each class's kernel set is its :func:`kernel_bitmasks` mask.  The
+    cover edges are the transitive reduction of strict mask containment,
+    done in integer ops, so the cell's edge set *is* the family's
+    Figure-1 Hasse diagram.  Verdicts come from the structural decision
+    tiers (certified closed forms plus value padding), and every non-OPEN
+    node carries its certificate id with the payload stored on the cell.
     """
     # Imported lazily: the decision package sits above core and below the
     # universe in the layer order, and only cell *construction* needs it.
     from ..decision.procedures import structural_verdict
 
-    record = get_store().family(n, m)
-    # Masks are only needed per node; synonyms share their canonical
-    # representative's kernel set, so non-canonical pairs are skipped.
-    masks = kernel_bitmasks(
-        n,
-        m,
-        [
-            (entry.parameters[2], entry.parameters[3])
-            for entry in record.canonical_entries
-        ],
-    )
     synonyms: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for entry in record.entries:
-        low, high = entry.parameters[2], entry.parameters[3]
-        synonyms.setdefault(entry.canonical_parameters, []).append((low, high))
+    for low, high in feasible_bound_pairs(n, m):
+        key = canonical_parameters(n, m, low, high)
+        synonyms.setdefault(key, []).append((low, high))
+    pairs = sorted(synonyms, key=lambda pair: (-pair[1], pair[0]))
+    masks = kernel_bitmasks(n, m, pairs)
     labels = _family_labels(n, m)
     hardest_pair = hardest_parameters(n, m)
 
     nodes = []
     certificates: dict[str, dict] = {}
-    for entry in record.canonical_entries:
-        low, high = entry.parameters[2], entry.parameters[3]
+    for low, high in pairs:
         verdict = structural_verdict(n, m, low, high)
         certificate_id = ""
         if verdict.certificate is not None:
             certificate_id = verdict.certificate.id
             certificates[certificate_id] = verdict.certificate.payload()
+        mask = masks[(low, high)]
         nodes.append(
             UniverseNode(
                 key=(n, m, low, high),
                 solvability=verdict.solvability.value,
                 reason=verdict.reason,
-                kernel_count=len(entry.kernel_set),
+                kernel_count=mask.bit_count(),
                 synonyms=tuple(sorted(synonyms[(low, high)])),
                 labels=labels.get((low, high), ()),
-                mask=masks[(low, high)],
+                mask=mask,
                 hardest=(low, high) == hardest_pair,
                 certificate_id=certificate_id,
             )
         )
 
-    dag = nx.DiGraph()
-    dag.add_nodes_from(node.key for node in nodes)
-    for outer in nodes:
-        for inner in nodes:
-            if inner.mask != outer.mask and inner.mask & ~outer.mask == 0:
-                dag.add_edge(outer.key, inner.key)
-    covers = nx.transitive_reduction(dag)
+    covers = sorted(
+        (nodes[outer].key, nodes[inner].key)
+        for outer, inner in _cover_pairs([node.mask for node in nodes])
+    )
     edges = tuple(
         UniverseEdge(source, target, EDGE_CONTAINMENT)
-        for source, target in sorted(covers.edges)
+        for source, target in covers
     )
     return UniverseCell(
         n=n, m=m, nodes=tuple(nodes), edges=edges, certificates=certificates
     )
+
+
+def _bits(bitset: int) -> Iterator[int]:
+    """Indices of the set bits of a non-negative int, ascending."""
+    while bitset:
+        lowest = bitset & -bitset
+        yield lowest.bit_length() - 1
+        bitset ^= lowest
+
+
+def _cover_pairs(masks: Sequence[int]) -> list[tuple[int, int]]:
+    """Index pairs ``(i, j)`` where mask j is covered by mask i.
+
+    ``below[i]`` is the bitset of the masks strictly inside mask i.  Strict
+    containment is transitive, so j is a cover of i exactly when it lies
+    below i but below none of the masks below i.
+    """
+    below = [
+        sum(
+            1 << j
+            for j, inner in enumerate(masks)
+            if inner != outer and inner | outer == outer
+        )
+        for outer in masks
+    ]
+    covers = []
+    for outer, inside in enumerate(below):
+        deeper = 0
+        for inner in _bits(inside):
+            deeper |= below[inner]
+        covers.extend((outer, inner) for inner in _bits(inside & ~deeper))
+    return covers
 
 
 class UniverseGraph:

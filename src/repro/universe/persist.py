@@ -18,13 +18,12 @@ A store directory holds one SQLite file, ``<root>/universe.sqlite``
 
 Parallel builds ride the census LPT sharding
 (:func:`repro.analysis.census.partition_cells`): missing cells are
-balanced over a process pool by the same ``n**2 * m`` cost estimate, each
-shard processed in ascending ``(n, m)`` order so the worker's
-process-local caches (kernel masters, classification, family store) are
-primed by the small cells.  Workers return plain JSON payloads; the
-parent commits each cell in its own transaction, so an interrupted build
-keeps every cell it finished and the next ``build`` computes only the
-rest.
+balanced over a process pool by the same ``n**2 * m`` cost estimate.  A
+cell is a function of ``(n, m)`` alone (closed forms plus its own
+family's kernel masks), so a worker needs no state from other cells.
+Workers return plain JSON payloads; the parent commits each cell in its
+own transaction, so an interrupted build keeps every cell it finished and
+the next ``build`` computes only the rest.
 
 Point lookups (:meth:`UniverseStore.node_at`) are one indexed row behind
 a process-wide hot-node LRU registered with :mod:`repro.core.cache_config`
@@ -126,7 +125,7 @@ def cell_from_payload(payload: dict) -> UniverseCell:
 
 
 def _build_cell_shard(cells: list[tuple[int, int]]) -> list[dict]:
-    """Worker entry point: payloads for one shard, caches primed by order."""
+    """Worker entry point: the stored payloads of one shard's cells."""
     return [cell_to_payload(build_cell(n, m)) for n, m in cells]
 
 

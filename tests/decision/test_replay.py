@@ -66,3 +66,80 @@ class TestStoredCertificates:
             legacy = classify_parameters(*node.key)[0]
             if legacy is not Solvability.OPEN:
                 assert node.solvability == legacy.value
+
+
+def theorem9_payloads(payload):
+    """Every Theorem 9 certificate in a payload, nested ones included."""
+    if isinstance(payload, dict):
+        if payload.get("kind") == "theorem" and payload.get("rule") == "theorem9":
+            yield payload
+        for value in payload.values():
+            yield from theorem9_payloads(value)
+    elif isinstance(payload, list):
+        for value in payload:
+            yield from theorem9_payloads(value)
+
+
+class TestWitnessReplayCounters:
+    """``decision.replay`` counts every Theorem 9 witness check by
+    outcome, and ``universe check`` prints this run's counts."""
+
+    def test_check_prints_the_counts_it_registered(self, store, capsys):
+        import math
+        import re
+
+        from repro.__main__ import main
+        from repro.core.cache_config import cache_stats
+        from repro.decision.certificates import MAX_WITNESS_SUBSETS
+
+        sizes = [
+            math.comb(2 * payload["task"][0] - 1, payload["task"][0])
+            for stored in store.load().certificate_payloads.values()
+            for payload in theorem9_payloads(stored)
+        ]
+        expected = {
+            "witness_replayed": sum(s <= MAX_WITNESS_SUBSETS for s in sizes),
+            "witness_beyond_gate": sum(s > MAX_WITNESS_SUBSETS for s in sizes),
+        }
+        # The 8 x 6 rectangle has witnesses on both sides of the gate.
+        assert min(expected.values()) > 0
+
+        before = cache_stats()["decision.replay"]
+        assert main(["universe", "check", "--dir", str(store.root)]) == 0
+        after = cache_stats()["decision.replay"]
+        assert {key: after[key] - before[key] for key in after} == expected
+
+        summary, counts = capsys.readouterr().out.splitlines()[-2:]
+        assert summary.endswith("all OK")
+        printed = re.fullmatch(
+            r"theorem9 witnesses: (\d+) replayed over every participating "
+            r"set, (\d+) beyond the replay gate \(closed form only\)",
+            counts,
+        )
+        assert printed is not None, counts
+        assert tuple(map(int, printed.groups())) == (
+            expected["witness_replayed"],
+            expected["witness_beyond_gate"],
+        )
+
+    @pytest.mark.parametrize(
+        "key,outcome",
+        [
+            ((3, 5, 0, 1), "witness_replayed"),  # C(5, 3) = 10 sets
+            ((7, 13, 0, 1), "witness_replayed"),  # C(13, 7) = 1,716 sets
+            ((8, 15, 0, 1), "witness_beyond_gate"),  # C(15, 8) = 6,435 sets
+        ],
+    )
+    def test_each_check_counts_one_outcome(self, key, outcome):
+        from repro.core.cache_config import cache_stats
+        from repro.decision.procedures import structural_verdict
+
+        payload = structural_verdict(*key).certificate.payload()
+        assert payload["rule"] == "theorem9"
+        before = cache_stats()["decision.replay"]
+        assert check_certificate_payload(payload) == []
+        after = cache_stats()["decision.replay"]
+        assert {name: after[name] - before[name] for name in after} == {
+            "witness_replayed": int(outcome == "witness_replayed"),
+            "witness_beyond_gate": int(outcome == "witness_beyond_gate"),
+        }
